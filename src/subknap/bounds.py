@@ -86,9 +86,5 @@ class BoundTable:
 
 def bound_table(c_grid: Iterable[float]) -> BoundTable:
     """One (c, x, alpha) row per grid point plus the reference constants."""
-    results = []
-    for c in c_grid:
-        c = _check_c(c)
-        x = solve_x(c)
-        results.append(BoundResult(c, x, (1.0 - x) / (2.0 - (2.0 - c) * x)))
-    return BoundTable(tuple(results))
+    return BoundTable(tuple(BoundResult(c, solve_x(c), alpha(c))
+                            for c in map(_check_c, c_grid)))

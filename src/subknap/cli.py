@@ -12,8 +12,8 @@ import sys
 
 from . import bounds, exact
 from .core import (ConfigurationError, Instance, OracleValidationError, TOL,
-                   load_instance, normalize_instance, save_instance,
-                   sorted_ids, validate_oracle, value_gt)
+                   check_capacity, load_instance, normalize_instance,
+                   save_instance, sorted_ids, validate_oracle, value_gt)
 from .generate import KINDS, GenerationError, GeneratorSpec, generate_instance
 from .greedy import Solution, agreedy, mgreedy
 from .policy import execute_policy, make_fit_oracle
@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="robustness sweep over all breakpoints")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true",
+                   help="ignored: sweeps always run serially (accepted so that "
+                        "existing scripts keep working)")
 
     p = sub.add_parser("bound", help="tabulate the robustness factor curve")
     p.add_argument("grid", help="curvature grid as start:end:step")
@@ -88,8 +90,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_eval(args) -> int:
     instance = _load(args.instance)
-    if args.gamma < 1:
-        raise ConfigurationError("gamma must be a positive integer")
+    check_capacity(args.gamma)
     if args.alg == "opt":
         _print_solution(exact.brute_force_opt(instance, args.gamma))
     elif args.alg == "mgreedy":
@@ -108,7 +109,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     instance = _load(args.instance)
-    report = exact.robustness_sweep(instance, parallel=args.parallel)
+    report = exact.robustness_sweep(instance)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     print(f"wrote {args.out} ({len(report.rows)} breakpoints, "

@@ -50,6 +50,22 @@ def sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(ids))
 
 
+def check_capacity(gamma) -> int:
+    """The capacity itself, if it is a positive integer (bools are refused)."""
+    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
+        raise ValueError(f"capacity must be a positive integer, got {gamma!r}")
+    return gamma
+
+
+def _check_finite(value, what: str) -> float:
+    """An oracle parameter as a float; non-numeric and non-finite values are
+    configuration errors, since NaN would otherwise pass every comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # items and oracles
 
@@ -113,13 +129,24 @@ class ValueOracle:
         raise NotImplementedError
 
 
+def _check_weights(weights: Mapping[str, float], what: str = "weight for") -> None:
+    """Finite nonnegative weights whose total is finite too, so that no
+    subset value overflows to infinity."""
+    total = 0.0
+    for key, w in weights.items():
+        w = _check_finite(w, f"{what} {key!r}")
+        if w < 0:
+            raise ConfigurationError(f"{what} {key!r} must be nonnegative")
+        total += w
+    if not math.isfinite(total):
+        raise ConfigurationError(f"total of {len(weights)} weights overflows")
+
+
 class ModularOracle(ValueOracle):
     kind = "modular"
 
     def __init__(self, weights: Mapping[str, float]):
-        for i, w in weights.items():
-            if w < 0:
-                raise ConfigurationError(f"weight for {i!r} must be nonnegative")
+        _check_weights(weights)
         super().__init__(weights)
         self._weights = dict(weights)
 
@@ -140,9 +167,7 @@ class CoverageOracle(ValueOracle):
     kind = "coverage"
 
     def __init__(self, element_weights: Mapping[str, float], covers: Mapping[str, Iterable[str]]):
-        for e, w in element_weights.items():
-            if w < 0:
-                raise ConfigurationError(f"element {e!r}: weight must be nonnegative")
+        _check_weights(element_weights, "weight for element")
         cov = {i: tuple(sorted(set(es))) for i, es in covers.items()}
         for i, es in cov.items():
             for e in es:
@@ -177,11 +202,9 @@ class ConcaveModularOracle(ValueOracle):
     kind = "concave_modular"
 
     def __init__(self, weights: Mapping[str, float], exponent: float):
-        if not 0.0 < exponent <= 1.0:
+        if not 0.0 < _check_finite(exponent, "exponent") <= 1.0:
             raise ConfigurationError(f"exponent must be in (0, 1], got {exponent!r}")
-        for i, w in weights.items():
-            if w < 0:
-                raise ConfigurationError(f"weight for {i!r} must be nonnegative")
+        _check_weights(weights)
         super().__init__(weights)
         self._weights = dict(weights)
         self._exponent = float(exponent)
@@ -221,7 +244,7 @@ class TableOracle(ValueOracle):
             ids = self._parse_key(key)
             if ids in table:
                 raise ConfigurationError(f"duplicate table key for subset {sorted(ids)}")
-            table[ids] = float(v)
+            table[ids] = _check_finite(v, f"table value for subset {sorted(ids)}")
         domain = frozenset().union(*table.keys()) if table else frozenset()
         if len(domain) > self.MAX_ITEMS:
             raise ConfigurationError(
@@ -306,6 +329,17 @@ class Instance:
                 "oracle domain must match instance items exactly; "
                 f"instance={sorted(ids)} oracle={sorted(self.oracle.domain)}")
         object.__setattr__(self, "_by_id", {it.id: it for it in self.items})
+        object.__setattr__(self, "_cache", {})
+
+    def cached(self, key, build):
+        """Result of build() memoized on this instance under key.
+
+        Instances and their oracles are immutable, so results derived from
+        them (greedy runs, the subset table) are computed once per instance.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def n(self) -> int:
@@ -503,22 +537,39 @@ def instance_from_dict(data: Mapping) -> Instance:
         kind = objective["kind"]
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed instance data: missing {exc}") from exc
+    if not isinstance(raw_items, list):
+        raise ConfigurationError("instance items must be a list")
     items = []
     for entry in raw_items:
+        if not isinstance(entry, Mapping) or "id" not in entry:
+            raise ConfigurationError(
+                f"each item must be an object with an id and a size, got {entry!r}")
         size = entry.get("size")
         if isinstance(size, bool) or not isinstance(size, int):
             raise ConfigurationError(
                 f"item {entry.get('id')!r}: size must be a positive integer")
-        items.append(Item(str(entry["id"]), size))
+        items.append(Item(entry["id"], size))
+
+    def field(name: str) -> Mapping:
+        value = objective[name]
+        if not isinstance(value, Mapping):
+            raise ConfigurationError(f"objective field {name!r} must be an object")
+        return value
+
     try:
         if kind == "modular":
-            oracle: ValueOracle = ModularOracle(objective["weights"])
+            oracle: ValueOracle = ModularOracle(field("weights"))
         elif kind == "coverage":
-            oracle = CoverageOracle(objective["elements"], objective["covers"])
+            covers = field("covers")
+            for i, es in covers.items():
+                if not isinstance(es, list) or not all(isinstance(e, str) for e in es):
+                    raise ConfigurationError(
+                        f"item {i!r}: covers must be a list of element ids")
+            oracle = CoverageOracle(field("elements"), covers)
         elif kind == "concave_modular":
-            oracle = ConcaveModularOracle(objective["weights"], objective["exponent"])
+            oracle = ConcaveModularOracle(field("weights"), objective["exponent"])
         elif kind == "table":
-            oracle = TableOracle(objective["values"])
+            oracle = TableOracle(field("values"))
         else:
             raise ConfigurationError(f"unknown objective kind {kind!r}")
     except KeyError as exc:

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import math
 import random
-import threading
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import bounds
-from .core import (Instance, TOL, curvature, instance_digest, size_breakpoints,
-                   sorted_ids, value_gt, values_close)
+from .core import (Instance, TOL, check_capacity, curvature, instance_digest,
+                   size_breakpoints, sorted_ids, value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (execute_policy, indispensability_interval, is_indispensable,
                      make_fit_oracle)
@@ -37,25 +34,11 @@ def _guard(instance: Instance) -> None:
             f"got {instance.n}")
 
 
-def _check_gamma(gamma) -> int:
-    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
-        raise ValueError(f"capacity must be a positive integer, got {gamma!r}")
-    return gamma
-
-
 # ---------------------------------------------------------------------------
 # brute-force optimum
 
-# per-instance table of (sorted ids, total size, value) for every subset
-_TABLE_CACHE: "weakref.WeakKeyDictionary[Instance, tuple]" = weakref.WeakKeyDictionary()
-_TABLE_LOCK = threading.Lock()
-
-
 def _subset_table(instance: Instance) -> tuple:
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(instance)
-    if table is not None:
-        return table
+    """(sorted ids, total size, value) for every subset."""
     ids = list(instance.ids)
     sizes = [instance.size(i) for i in ids]
     value_of = instance.oracle.evaluate
@@ -64,22 +47,20 @@ def _subset_table(instance: Instance) -> tuple:
         members = tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
         total = sum(sizes[i] for i in range(len(ids)) if mask >> i & 1)
         rows.append((members, total, value_of(members)))
-    table = tuple(rows)
-    with _TABLE_LOCK:
-        _TABLE_CACHE[instance] = table
-    return table
+    return tuple(rows)
 
 
 def brute_force_opt(instance: Instance, gamma: int) -> Solution:
     """Best feasible subset by full enumeration; value ties go to the
     lexicographically smallest id sequence."""
     _guard(instance)
-    gamma = _check_gamma(gamma)
+    gamma = check_capacity(gamma)
     instance.oracle.ensure_usable()
     best_ids: tuple[str, ...] = ()
     best_size = 0
     best_value = 0.0
-    for members, total, value in _subset_table(instance):
+    table = instance.cached("subset_table", lambda: _subset_table(instance))
+    for members, total, value in table:
         if total > gamma:
             continue
         if value_gt(value, best_value) or (
@@ -167,15 +148,9 @@ def _sweep_row(instance: Instance, gamma: int) -> SweepRow:
     )
 
 
-def robustness_sweep(instance: Instance, parallel: bool = False) -> SweepReport:
+def robustness_sweep(instance: Instance) -> SweepReport:
     """One row per breakpoint capacity plus the worst policy-to-optimum ratio."""
-    _guard(instance)
-    caps = breakpoints(instance).capacities
-    if parallel and len(caps) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(caps))) as pool:
-            rows = tuple(pool.map(lambda g: _sweep_row(instance, g), caps))
-    else:
-        rows = tuple(_sweep_row(instance, g) for g in caps)
+    rows = tuple(_sweep_row(instance, g) for g in breakpoints(instance))
     c = curvature(instance)
     return SweepReport(
         rows=rows,
@@ -249,7 +224,7 @@ def check_theorem6(instance: Instance, gamma: int) -> CheckReport:
     """Every fitting greedy prefix reaches the curvature-dependent fraction
     of the optimum: f(G_j) >= (1/c)(1 - exp(-c s(G_j)/gamma)) f(OPT)."""
     _guard(instance)
-    gamma = _check_gamma(gamma)
+    gamma = check_capacity(gamma)
     c = curvature(instance)
     opt = brute_force_opt(instance, gamma).value
     run = greedy_sequence(instance, gamma)
@@ -277,7 +252,7 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
     are skipped and noted as well.
     """
     _guard(instance)
-    gamma = _check_gamma(gamma)
+    gamma = check_capacity(gamma)
     c = curvature(instance)
     run = greedy_sequence(instance, gamma)
     opt = brute_force_opt(instance, gamma)

@@ -8,11 +8,10 @@ capacity; they differ only in the rule that picks between the two.
 from __future__ import annotations
 
 import bisect
-import threading
-import weakref
 from dataclasses import dataclass
+from typing import Iterable
 
-from .core import Instance, value_ge, value_gt
+from .core import Instance, check_capacity, value_ge, value_gt
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class GreedyRun:
     """
 
     capacity: int
-    eligible: frozenset[str]
     order: tuple[str, ...]
     marginals: tuple[float, ...]
     prefix_sizes: tuple[int, ...]
@@ -53,35 +51,41 @@ def make_solution(instance: Instance, ids) -> Solution:
     return Solution(items, instance.value(items), instance.total_size(items))
 
 
-# greedy runs are pure functions of (instance, capacity); cache them so the
-# checkers and sweeps do not recompute identical orderings
-_RUN_CACHE: "weakref.WeakKeyDictionary[Instance, dict[int, GreedyRun]]" = (
-    weakref.WeakKeyDictionary())
-_RUN_LOCK = threading.Lock()
+def best_density_item(instance: Instance, packed: set[str] | frozenset[str],
+                      packed_value: float,
+                      candidates: Iterable[str]) -> tuple[str | None, float]:
+    """Candidate with the largest marginal value per unit size on packed.
 
-
-def _check_gamma(gamma) -> int:
-    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
-        raise ValueError(f"capacity must be a positive integer, got {gamma!r}")
-    return gamma
+    Candidates are scanned in ascending id order and a later one wins only by
+    a density strictly greater beyond tolerance.  Returns the winner and the
+    value of packed plus the winner; (None, 0.0) when there is no candidate.
+    """
+    value_of = instance.oracle.evaluate
+    best_id = None
+    best_density = 0.0
+    best_value = 0.0
+    for iid in sorted(candidates):
+        v = value_of(packed | {iid})
+        density = (v - packed_value) / instance.size(iid)
+        if best_id is None or value_gt(density, best_density):
+            best_id, best_density, best_value = iid, density, v
+    return best_id, best_value
 
 
 def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     """Greedy order of all items with size <= gamma, ties by ascending id.
 
     k is the longest prefix whose total size still fits gamma; the item at
-    position k+1, when present, is the first one to overflow.
+    position k+1, when present, is the first one to overflow.  Runs are pure
+    functions of (instance, gamma) and are computed once per instance.
     """
-    gamma = _check_gamma(gamma)
+    gamma = check_capacity(gamma)
     instance.oracle.ensure_usable()
-    with _RUN_LOCK:
-        per_instance = _RUN_CACHE.setdefault(instance, {})
-        cached = per_instance.get(gamma)
-    if cached is not None:
-        return cached
+    return instance.cached(("greedy", gamma), lambda: _greedy_run(instance, gamma))
 
-    oracle = instance.oracle
-    remaining = sorted((it.id for it in instance.items if it.size <= gamma))
+
+def _greedy_run(instance: Instance, gamma: int) -> GreedyRun:
+    remaining = sorted(it.id for it in instance.items if it.size <= gamma)
     packed: set[str] = set()
     packed_value = 0.0
     order: list[str] = []
@@ -90,14 +94,8 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     total = 0
 
     while remaining:
-        best_id = None
-        best_density = 0.0
-        best_value = 0.0
-        for iid in remaining:
-            v = oracle.evaluate(packed | {iid})
-            density = (v - packed_value) / instance.size(iid)
-            if best_id is None or value_gt(density, best_density):
-                best_id, best_density, best_value = iid, density, v
+        best_id, best_value = best_density_item(instance, packed, packed_value,
+                                                remaining)
         remaining.remove(best_id)
         packed.add(best_id)
         order.append(best_id)
@@ -107,18 +105,14 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
         packed_value = best_value
 
     k = bisect.bisect_right(prefix_sizes, gamma)
-    run = GreedyRun(
+    return GreedyRun(
         capacity=gamma,
-        eligible=frozenset(order),
         order=tuple(order),
         marginals=tuple(marginals),
         prefix_sizes=tuple(prefix_sizes),
         k=k,
         overflow_item=order[k] if k < len(order) else None,
     )
-    with _RUN_LOCK:
-        _RUN_CACHE.setdefault(instance, {})[gamma] = run
-    return run
 
 
 def mgreedy(instance: Instance, gamma: int) -> Solution:

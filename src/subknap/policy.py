@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Item, size_breakpoints, sorted_ids, value_gt
-from .greedy import Solution, greedy_sequence, make_solution
+from .core import Instance, Item, check_capacity, size_breakpoints, sorted_ids
+from .greedy import (Solution, _override_item, best_density_item,
+                     greedy_sequence, make_solution)
 
 REASON_INDISPENSABLE = "indispensable"
 REASON_FIRST_GREEDY = "first_greedy"
@@ -63,9 +64,7 @@ class FitOracle:
     """
 
     def __init__(self, gamma: int):
-        if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
-            raise ValueError(f"capacity must be a positive integer, got {gamma!r}")
-        self._gamma = gamma
+        self._gamma = check_capacity(gamma)
         self.query_count = 0
 
     def fits(self, candidate_total_size: int) -> bool:
@@ -120,11 +119,8 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
     """
     it = _resolve(instance, item)
     run = greedy_sequence(instance, it.size)
-    if run.overflow_item != it.id or run.k < 1:
-        return IndispensabilityResult(False, frozenset())
-    prefix = run.fitting_prefix
-    if value_gt(run.marginals[run.k], instance.value(prefix)):
-        return IndispensabilityResult(True, prefix)
+    if run.k >= 1 and run.overflow_item == it.id and _override_item(instance, run):
+        return IndispensabilityResult(True, run.fitting_prefix)
     return IndispensabilityResult(False, frozenset())
 
 
@@ -168,8 +164,8 @@ def start_item_list(instance: Instance) -> StartList:
         elif entries and greedy_sequence(instance, it.size).order[0] == it.id:
             entries.append(StartEntry(it.id, REASON_FIRST_GREEDY))
     sizes = [instance.size(e.item_id) for e in entries]
-    assert all(a < b for a, b in zip(sizes, sizes[1:])), \
-        "start list sizes must be strictly increasing"
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise RuntimeError("start list sizes must be strictly increasing")
     return StartList(tuple(entries))
 
 
@@ -183,7 +179,6 @@ def execute_policy(instance: Instance, oracle: FitOracle,
     or not they fit.  Step 3 packs the remaining pool adaptively by marginal
     density with the same discard rule.  Packed items are never removed.
     """
-    value_of = instance.oracle.evaluate
     if start_list is None:
         start_list = start_item_list(instance)
 
@@ -221,14 +216,8 @@ def execute_policy(instance: Instance, oracle: FitOracle,
     # Step 3: adaptive greedy over whatever is left
     while pool:
         packed_set = frozenset(packed)
-        packed_value = value_of(packed_set)
-        best_id = None
-        best_density = 0.0
-        for iid in sorted(pool):
-            gain = value_of(packed_set | {iid}) - packed_value
-            density = gain / instance.size(iid)
-            if best_id is None or value_gt(density, best_density):
-                best_id, best_density = iid, density
+        best_id, _ = best_density_item(instance, packed_set,
+                                       instance.value(packed_set), pool)
         size = instance.size(best_id)
         ok = oracle.fits(packed_size + size)
         attempts.append(PolicyAttempt(best_id, ok, PHASE_MAIN_GREEDY))

@@ -1,9 +1,10 @@
 """Shared fixtures: hand-checkable instances and the seeded corpus."""
 
+import bisect
 from itertools import combinations
 
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
-                          TableOracle)
+                          TableOracle, sorted_ids, value_gt)
 from subknap.generate import GeneratorSpec
 
 CORPUS_KINDS = ("modular", "coverage", "concave_modular", "planted")
@@ -79,3 +80,123 @@ def enumerate_opt(instance: Instance, gamma: int) -> tuple[frozenset, float]:
             if v > best_val + 1e-12:
                 best_ids, best_val = combo, v
     return frozenset(best_ids), best_val
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the greedy selection loop and the policy as they
+# were written before both shared one density-selection helper; the
+# differential tests require identical results from the library
+
+def reference_greedy(instance: Instance, gamma: int) -> tuple:
+    """(order, marginals, prefix_sizes, k, overflow_item) of the greedy run."""
+    oracle = instance.oracle
+    remaining = sorted((it.id for it in instance.items if it.size <= gamma))
+    packed: set[str] = set()
+    packed_value = 0.0
+    order: list[str] = []
+    marginals: list[float] = []
+    prefix_sizes: list[int] = []
+    total = 0
+
+    while remaining:
+        best_id = None
+        best_density = 0.0
+        best_value = 0.0
+        for iid in remaining:
+            v = oracle.evaluate(packed | {iid})
+            density = (v - packed_value) / instance.size(iid)
+            if best_id is None or value_gt(density, best_density):
+                best_id, best_density, best_value = iid, density, v
+        remaining.remove(best_id)
+        packed.add(best_id)
+        order.append(best_id)
+        marginals.append(best_value - packed_value)
+        total += instance.size(best_id)
+        prefix_sizes.append(total)
+        packed_value = best_value
+
+    k = bisect.bisect_right(prefix_sizes, gamma)
+    return (tuple(order), tuple(marginals), tuple(prefix_sizes), k,
+            order[k] if k < len(order) else None)
+
+
+def reference_start_list(instance: Instance) -> list[tuple[str, str]]:
+    """(item id, reason) start entries, indispensability decided inline."""
+    entries = []
+    for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
+        order, marginals, _, k, overflow = reference_greedy(instance, it.size)
+        if (overflow == it.id and k >= 1
+                and value_gt(marginals[k], instance.value(order[:k]))):
+            entries.append((it.id, "indispensable"))
+        elif entries and order[0] == it.id:
+            entries.append((it.id, "first_greedy"))
+    return entries
+
+
+def reference_policy(instance: Instance, gamma: int,
+                     start_list: list[tuple[str, str]]) -> dict:
+    """The oblivious policy at capacity gamma, in PolicyTrace.to_dict form."""
+    value_of = instance.oracle.evaluate
+    queries = 0
+
+    def fits(total: int) -> bool:
+        nonlocal queries
+        queries += 1
+        return total <= gamma
+
+    pool = {it.id for it in instance.items}
+    packed: list[str] = []
+    packed_size = 0
+    attempts: list[dict] = []
+    prefix_order: tuple[str, ...] = ()
+
+    for item_id, reason in reversed(start_list):
+        size = instance.size(item_id)
+        ok = fits(packed_size + size)
+        attempts.append({"item": item_id, "fitted": ok, "phase": "start_item"})
+        if ok:
+            packed.append(item_id)
+            packed_size += size
+            pool.discard(item_id)
+            if reason == "indispensable":
+                order, _, _, k, _ = reference_greedy(instance, size)
+                prefix_order = order[:k]
+            break
+        pool = {i for i in pool if instance.size(i) < size}
+
+    for iid in prefix_order:
+        size = instance.size(iid)
+        ok = fits(packed_size + size)
+        attempts.append({"item": iid, "fitted": ok, "phase": "greedy_prefix"})
+        if ok:
+            packed.append(iid)
+            packed_size += size
+        pool.discard(iid)
+
+    while pool:
+        packed_set = frozenset(packed)
+        packed_value = value_of(packed_set)
+        best_id = None
+        best_density = 0.0
+        for iid in sorted(pool):
+            gain = value_of(packed_set | {iid}) - packed_value
+            density = gain / instance.size(iid)
+            if best_id is None or value_gt(density, best_density):
+                best_id, best_density = iid, density
+        size = instance.size(best_id)
+        ok = fits(packed_size + size)
+        attempts.append({"item": best_id, "fitted": ok, "phase": "main_greedy"})
+        if ok:
+            packed.append(best_id)
+            packed_size += size
+            pool.discard(best_id)
+        else:
+            pool = {i for i in pool if instance.size(i) < size}
+
+    return {
+        "attempts": attempts,
+        "packed": list(sorted_ids(packed)),
+        "value": instance.value(packed),
+        "total_size": instance.total_size(packed),
+        "query_count": queries,
+    }

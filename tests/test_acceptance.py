@@ -12,7 +12,7 @@ import pytest
 from helpers import ex1, ex3, sneaky_bad_table, superadditive_table
 from subknap.cli import main
 from subknap.core import (Instance, Item, OracleValidationError, TableOracle,
-                          validate_oracle)
+                          instance_from_dict, instance_to_dict, validate_oracle)
 from subknap.exact import (breakpoints, check_curvature_lemma, check_lemma2,
                            check_theorem6, robustness_sweep)
 from subknap.greedy import agreedy_override, greedy_sequence
@@ -195,7 +195,7 @@ def test_criterion_9_determinism_and_obliviousness(corpus):
     samples = [inst for spec, inst in corpus[::37]][:6]
     byte_identical = all(
         robustness_sweep(inst).to_csv() == robustness_sweep(inst).to_csv()
-        == robustness_sweep(inst, parallel=True).to_csv()
+        == robustness_sweep(instance_from_dict(instance_to_dict(inst))).to_csv()
         for inst in samples)
 
     trace_pairs = checked = 0

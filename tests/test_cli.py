@@ -104,6 +104,28 @@ def test_eval_refuses_invalid_table(bad_table_file):
                  "--alg", "agreedy"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"items": ["a"], "objective": {"kind": "modular", "weights": {"a": 1.0}}}',
+    '{"items": [{"id": "a", "size": 1}],'
+    ' "objective": {"kind": "modular", "weights": {"a": "x"}}}',
+    '{"items": [{"id": "a", "size": 1}],'
+    ' "objective": {"kind": "modular", "weights": {"a": NaN}}}',
+    '{"items": [{"id": "a", "size": 1}, {"id": "b", "size": 1}],'
+    ' "objective": {"kind": "modular", "weights": {"a": 1.7e308, "b": 1.7e308}}}',
+    '{"items": [{"id": null, "size": 1}],'
+    ' "objective": {"kind": "modular", "weights": {"None": 1.0}}}',
+], ids=["non_object_item", "string_weight", "nan_weight", "overflowing_weights",
+        "null_id"])
+def test_eval_malformed_instance_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["eval", "-i", str(path), "--gamma", "1", "--alg", "policy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

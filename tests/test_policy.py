@@ -3,9 +3,11 @@ import pytest
 from helpers import ex1, ex1_extended, ex3
 from subknap.core import Instance, Item, ModularOracle, size_breakpoints
 from subknap.generate import GeneratorSpec, generate_instance
+from subknap import policy
 from subknap.greedy import agreedy
 from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_MAIN_GREEDY,
-                            PHASE_START_ITEM, execute_policy,
+                            PHASE_START_ITEM, IndispensabilityResult,
+                            execute_policy,
                             indispensability_interval, is_indispensable,
                             make_fit_oracle, start_item_list)
 
@@ -81,6 +83,16 @@ def test_start_list_sizes_strictly_increase_on_corpus_samples():
                                                size_max=8, seed=seed))
         sizes = [inst.size(e.item_id) for e in start_item_list(inst)]
         assert sizes and sizes == sorted(set(sizes))
+
+
+def test_start_item_list_refuses_equal_sizes(monkeypatch):
+    """The strictly-increasing invariant is a real check, kept under -O."""
+    inst = Instance((Item("a", 2), Item("b", 2)),
+                    ModularOracle({"a": 1.0, "b": 1.0}))
+    monkeypatch.setattr(policy, "is_indispensable",
+                        lambda instance, item: IndispensabilityResult(True, frozenset()))
+    with pytest.raises(RuntimeError, match="strictly increasing"):
+        start_item_list(inst)
 
 
 # ---------------------------------------------------------------------------
