@@ -22,6 +22,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 
+#: `bound` builds its whole grid in memory
+MAX_GRID_POINTS = 10 ** 6
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "existing scripts keep working)")
 
     p = sub.add_parser("bound", help="tabulate the robustness factor curve")
-    p.add_argument("grid", help="curvature grid as start:end:step")
+    p.add_argument("grid", help="curvature grid as start:end:step, "
+                   f"at most {MAX_GRID_POINTS} points")
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("verify", help="run every checker against an instance")
@@ -129,10 +133,16 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigurationError("grid endpoints must lie in [0, 1]")
     if end < start:
         raise ConfigurationError("grid end must not precede start")
+    if not math.isfinite(step):
+        raise ConfigurationError(f"grid step must be finite, got {step}")
     if start == end:
         return [start]
     if step <= 0:
         raise ConfigurationError("grid step must be positive")
+    # compared as a float, since 1 / 1e-320 overflows to inf
+    if (end - start) / step >= MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     count = int(round((end - start) / step))
     grid = [round(start + i * step, 12) for i in range(count + 1)]
     return [g for g in grid if g <= end + 1e-12]

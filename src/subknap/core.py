@@ -95,6 +95,9 @@ class ValueOracle:
     def __init__(self, domain: Iterable[str]):
         self._domain = frozenset(domain)
         self._cache: dict[frozenset[str], float] = {}
+        # a value is a float sum of at most this many nonnegative terms
+        self._addends = max(1, len(self._domain))
+        self._rounding: float | None = None
 
     @property
     def domain(self) -> frozenset[str]:
@@ -113,6 +116,21 @@ class ValueOracle:
 
     def _value(self, s: frozenset[str]) -> float:
         raise NotImplementedError
+
+    def gain_drift(self, steps: int) -> float:
+        """How far an item's computed marginal gain on a set may exceed its
+        gain computed on a subset with `steps` fewer items.
+
+        Submodularity makes this zero in exact arithmetic, whatever `steps`.
+        What remains is float rounding of values summed from at most
+        `_addends` terms, each value bounded by that of the whole domain
+        (with a factor of two to spare).  Lazy greedy selection widens its
+        stale density bounds by this much.
+        """
+        if self._rounding is None:
+            scale = max(1.0, abs(self.evaluate(self._domain)))
+            self._rounding = 8 * (self._addends + 2) * 2.0 ** -53 * scale
+        return self._rounding
 
     def restrict(self, ids: Iterable[str]) -> "ValueOracle":
         """Oracle over a subset of the domain (used by normalize_instance)."""
@@ -174,6 +192,7 @@ class CoverageOracle(ValueOracle):
                 if e not in element_weights:
                     raise ConfigurationError(f"item {i!r} covers unknown element {e!r}")
         super().__init__(cov)
+        self._addends = max(1, len(element_weights))
         self._element_weights = dict(element_weights)
         self._covers = cov
 
@@ -257,6 +276,7 @@ class TableOracle(ValueOracle):
             raise ConfigurationError("table value for the empty set must be 0")
         table[frozenset()] = 0.0
         super().__init__(domain)
+        self._addends = 1
         self._table = table
         self._usable: bool | None = None
 
@@ -273,6 +293,12 @@ class TableOracle(ValueOracle):
         keep = frozenset(ids)
         kept = {",".join(sorted(s)): v for s, v in self._table.items() if s <= keep}
         return TableOracle(kept)
+
+    def gain_drift(self, steps: int) -> float:
+        # ensure_usable accepts every pairwise submodularity violation up to
+        # TOL, measured on float sums of four values, so a gain may grow by
+        # that much with each item added to its base set
+        return (steps + 1) * (super().gain_drift(steps) + TOL)
 
     def ensure_usable(self) -> None:
         if self._usable is None:
@@ -335,7 +361,8 @@ class Instance:
         """Result of build() memoized on this instance under key.
 
         Instances and their oracles are immutable, so results derived from
-        them (greedy runs, the subset table) are computed once per instance.
+        them (greedy orders, the start list, the subset table) are computed once
+        per instance.
         """
         if key not in self._cache:
             self._cache[key] = build()

@@ -8,6 +8,7 @@ capacity; they differ only in the rule that picks between the two.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -72,47 +73,161 @@ def best_density_item(instance: Instance, packed: set[str] | frozenset[str],
     return best_id, best_value
 
 
+class DensityQueue:
+    """Candidates packed one by one, each picked as best_density_item would
+    pick it, but evaluated lazily (Minoux 1978).
+
+    Every candidate keeps the density it had when last evaluated, on a
+    subset of the current packed set.  By submodularity that density bounds
+    its current one from above, up to the oracle's gain_drift, so a selection
+    re-evaluates only candidates at the head of a max-heap of bounds.
+
+    The scan's tie rule is not transitive, so a lazy winner is accepted only
+    where it provably equals the scan's: (a) the freshly evaluated head beats
+    every other bound by more than the tolerance, or (b) no candidate can
+    beat the freshly evaluated smallest id, which the scan starts from and
+    then keeps.  Otherwise the scan itself decides.  Densities are computed
+    with the scan's arithmetic, so equal choices give equal floats.
+    """
+
+    def __init__(self, instance: Instance, packed: frozenset[str],
+                 packed_value: float, candidates: Iterable[str]):
+        oracle = instance.oracle
+        oracle.ensure_usable()  # the bounds rely on a validated oracle
+        self._instance = instance
+        self.packed = packed
+        self.packed_value = packed_value
+        self._live = sorted(candidates)
+        # per live candidate: density bound, len(packed) when it was
+        # computed, and the packed value with the candidate at that time
+        self._bound: dict[str, float] = {}
+        self._stamp: dict[str, int] = {}
+        self._value: dict[str, float] = {}
+        for iid in self._live:
+            # singleton densities are densities on the empty set
+            v = oracle.evaluate((iid,))
+            self._bound[iid] = v / instance.size(iid)
+            self._stamp[iid] = 0
+            self._value[iid] = v
+        self._heap = [(-b, iid) for iid, b in self._bound.items()]
+        heapq.heapify(self._heap)
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def select(self) -> tuple[str, float]:
+        """The candidate best_density_item picks on the packed set, and the
+        value of the packed set with it."""
+        bound = self._bound
+        drift = self._instance.oracle.gain_drift(len(self.packed))
+        while True:
+            head = self._head()
+            if not self._fresh(head):
+                self._refresh(head)
+                continue
+            best = bound[head]
+            entry = heapq.heappop(self._heap)
+            rival = self._head()
+            heapq.heappush(self._heap, entry)
+            if rival is None or value_gt(best, bound[rival] + drift):
+                return head, self._value[head]
+            # every other density is at most best + drift
+            first = self._live[0]
+            if self._fresh(first) and not value_gt(best + drift, bound[first]):
+                return first, self._value[first]
+            stale = next((i for i in (rival, first) if not self._fresh(i)), None)
+            if stale is None:
+                return best_density_item(self._instance, self.packed,
+                                         self.packed_value, self._live)
+            self._refresh(stale)
+
+    def pack(self, item_id: str, value: float) -> None:
+        """Add a selected candidate to the packed set, whose value becomes value."""
+        del self._live[bisect.bisect_left(self._live, item_id)]
+        self._forget(item_id)
+        self.packed = self.packed | {item_id}
+        self.packed_value = value
+
+    def discard_from(self, size: int) -> None:
+        """Drop every candidate of at least this size."""
+        keep = []
+        for iid in self._live:
+            if self._instance.size(iid) < size:
+                keep.append(iid)
+            else:
+                self._forget(iid)
+        self._live = keep
+
+    def _forget(self, item_id: str) -> None:
+        del self._bound[item_id], self._stamp[item_id], self._value[item_id]
+
+    def _fresh(self, item_id: str) -> bool:
+        return self._stamp[item_id] == len(self.packed)
+
+    def _head(self) -> str | None:
+        """Live candidate with the largest bound, ties by ascending id;
+        entries of packed, dropped or re-evaluated candidates are skipped."""
+        heap, bound = self._heap, self._bound
+        while heap:
+            key, iid = heap[0]
+            if bound.get(iid) == -key:
+                return iid
+            heapq.heappop(heap)
+        return None
+
+    def _refresh(self, item_id: str) -> None:
+        v = self._instance.oracle.evaluate(self.packed | {item_id})
+        density = (v - self.packed_value) / self._instance.size(item_id)
+        self._stamp[item_id] = len(self.packed)
+        self._value[item_id] = v
+        if density != self._bound[item_id]:
+            self._bound[item_id] = density
+            heapq.heappush(self._heap, (-density, item_id))
+
+
 def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     """Greedy order of all items with size <= gamma, ties by ascending id.
 
     k is the longest prefix whose total size still fits gamma; the item at
-    position k+1, when present, is the first one to overflow.  Runs are pure
-    functions of (instance, gamma) and are computed once per instance.
+    position k+1, when present, is the first one to overflow.  The order
+    depends on gamma only through the eligible items, so it is computed once
+    per instance and eligible-size threshold (the largest item size <= gamma)
+    and shared by every capacity with that threshold.
     """
     gamma = check_capacity(gamma)
     instance.oracle.ensure_usable()
-    return instance.cached(("greedy", gamma), lambda: _greedy_run(instance, gamma))
+    threshold = max((it.size for it in instance.items if it.size <= gamma),
+                    default=0)
+    order, marginals, prefix_sizes = instance.cached(
+        ("greedy", threshold), lambda: _greedy_order(instance, threshold))
+    k = bisect.bisect_right(prefix_sizes, gamma)
+    return GreedyRun(
+        capacity=gamma,
+        order=order,
+        marginals=marginals,
+        prefix_sizes=prefix_sizes,
+        k=k,
+        overflow_item=order[k] if k < len(order) else None,
+    )
 
 
-def _greedy_run(instance: Instance, gamma: int) -> GreedyRun:
-    remaining = sorted(it.id for it in instance.items if it.size <= gamma)
-    packed: set[str] = set()
-    packed_value = 0.0
+def _greedy_order(instance: Instance, threshold: int
+                  ) -> tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]:
+    """(order, marginals, prefix sizes) of the items of size <= threshold."""
+    queue = DensityQueue(instance, frozenset(), 0.0,
+                         (it.id for it in instance.items if it.size <= threshold))
     order: list[str] = []
     marginals: list[float] = []
     prefix_sizes: list[int] = []
     total = 0
-
-    while remaining:
-        best_id, best_value = best_density_item(instance, packed, packed_value,
-                                                remaining)
-        remaining.remove(best_id)
-        packed.add(best_id)
+    while queue:
+        best_id, best_value = queue.select()
         order.append(best_id)
-        marginals.append(best_value - packed_value)
+        marginals.append(best_value - queue.packed_value)
         total += instance.size(best_id)
         prefix_sizes.append(total)
-        packed_value = best_value
-
-    k = bisect.bisect_right(prefix_sizes, gamma)
-    return GreedyRun(
-        capacity=gamma,
-        order=tuple(order),
-        marginals=tuple(marginals),
-        prefix_sizes=tuple(prefix_sizes),
-        k=k,
-        overflow_item=order[k] if k < len(order) else None,
-    )
+        queue.pack(best_id, best_value)
+    return tuple(order), tuple(marginals), tuple(prefix_sizes)
 
 
 def mgreedy(instance: Instance, gamma: int) -> Solution:

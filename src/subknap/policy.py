@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Instance, Item, check_capacity, size_breakpoints, sorted_ids
-from .greedy import (Solution, _override_item, best_density_item,
-                     greedy_sequence, make_solution)
+from .greedy import (DensityQueue, Solution, _override_item, greedy_sequence,
+                     make_solution)
 
 REASON_INDISPENSABLE = "indispensable"
 REASON_FIRST_GREEDY = "first_greedy"
@@ -180,7 +180,8 @@ def execute_policy(instance: Instance, oracle: FitOracle,
     density with the same discard rule.  Packed items are never removed.
     """
     if start_list is None:
-        start_list = start_item_list(instance)
+        start_list = instance.cached("start_list",
+                                     lambda: start_item_list(instance))
 
     pool = {it.id for it in instance.items}
     packed: list[str] = []
@@ -213,20 +214,21 @@ def execute_policy(instance: Instance, oracle: FitOracle,
             packed_size += size
         pool.discard(iid)
 
-    # Step 3: adaptive greedy over whatever is left
-    while pool:
-        packed_set = frozenset(packed)
-        best_id, _ = best_density_item(instance, packed_set,
-                                       instance.value(packed_set), pool)
+    # Step 3: adaptive greedy over whatever is left; the packed set only
+    # grows and the pool only shrinks, so one lazy queue serves every step
+    packed_set = frozenset(packed)
+    queue = DensityQueue(instance, packed_set, instance.value(packed_set), pool)
+    while queue:
+        best_id, best_value = queue.select()
         size = instance.size(best_id)
         ok = oracle.fits(packed_size + size)
         attempts.append(PolicyAttempt(best_id, ok, PHASE_MAIN_GREEDY))
         if ok:
             packed.append(best_id)
             packed_size += size
-            pool.discard(best_id)
+            queue.pack(best_id, best_value)
         else:
-            pool = {i for i in pool if instance.size(i) < size}
+            queue.discard_from(size)
 
     return PolicyTrace(
         attempts=tuple(attempts),

@@ -189,6 +189,19 @@ def test_bound_malformed_grids(tmp_path):
     assert main(["bound", "a:b:c", "-o", out]) == 2
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:nan", "grid step must be finite"),
+    ("0:1:inf", "grid step must be finite"),
+    ("0:1:1e-300", "more than 1000000 points"),
+])
+def test_bound_refuses_unbounded_grids(tmp_path, capsys, grid, message):
+    out = tmp_path / "x.csv"
+    assert main(["bound", grid, "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

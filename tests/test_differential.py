@@ -1,8 +1,16 @@
 """Differential tests: greedy runs, start lists and policy traces equal those
 of the reference loops in helpers.py, on the whole corpus at every
-breakpoint and on one n=100 coverage instance past the exhaustive guard."""
+breakpoint and on one n=100 coverage instance past the exhaustive guard.
+Generated near ties (repeated densities, zero gains, tables within TOL of
+submodular) check that lazy selection keeps the scan's tie-breaks."""
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_greedy, reference_policy, reference_start_list
+from subknap.core import (TOL, CoverageOracle, Instance, Item, ModularOracle,
+                          OracleValidationError, TableOracle)
 from subknap.exact import breakpoints
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
@@ -31,3 +39,100 @@ def test_coverage_n100_matches_reference():
     total = sum(it.size for it in instance.items)
     _assert_matches_reference(
         instance, sorted({round(k * total / 20) for k in range(1, 21)}))
+
+
+# ---------------------------------------------------------------------------
+# near ties: the lazy selection must keep the scan's tie-breaks where
+# densities repeat, gains saturate at zero, or values sit within TOL
+
+_SIZES = st.integers(1, 4)
+
+
+@st.composite
+def _modular_duplicate_ratios(draw):
+    n = draw(st.integers(2, 8))
+    sizes = draw(st.lists(_SIZES, min_size=n, max_size=n))
+    ratios = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+                           min_size=n, max_size=n))
+    ids = [f"m{k}" for k in range(n)]
+    return Instance(tuple(Item(i, s) for i, s in zip(ids, sizes)),
+                    ModularOracle({i: r * s for i, r, s in zip(ids, ratios, sizes)}))
+
+
+@st.composite
+def _saturating_coverage(draw):
+    n = draw(st.integers(2, 9))
+    elements = {"x": 1.0, "y": 0.5, "z": 0.5}
+    covers = draw(st.lists(st.sets(st.sampled_from(sorted(elements)), min_size=1),
+                           min_size=n, max_size=n))
+    sizes = draw(st.lists(_SIZES, min_size=n, max_size=n))
+    ids = [f"c{k}" for k in range(n)]
+    return Instance(tuple(Item(i, s) for i, s in zip(ids, sizes)),
+                    CoverageOracle(elements, dict(zip(ids, map(sorted, covers)))))
+
+
+@st.composite
+def _perturbed_table(draw):
+    """A modular or saturating coverage function on up to 5 items, each
+    nonempty subset value moved by up to 0.45 TOL, kept only if the table
+    still passes ensure_usable."""
+    base = draw(_modular_duplicate_ratios() | _saturating_coverage())
+    ids = sorted(it.id for it in base.items)[:5]
+    steps = draw(st.lists(st.integers(-45, 45), min_size=2 ** len(ids),
+                          max_size=2 ** len(ids)))
+    values = {}
+    for mask in range(2 ** len(ids)):
+        subset = [i for k, i in enumerate(ids) if mask >> k & 1]
+        shift = steps[mask] * TOL / 100 if subset else 0.0
+        values[",".join(subset)] = base.value(subset) + shift
+    instance = Instance(tuple(it for it in base.items if it.id in ids),
+                        TableOracle(values))
+    try:
+        instance.oracle.ensure_usable()
+    except OracleValidationError:
+        assume(False)
+    return instance
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_modular_duplicate_ratios() | _saturating_coverage() | _perturbed_table())
+def test_near_ties_match_reference_at_every_breakpoint(instance):
+    _assert_matches_reference(instance, breakpoints(instance))
+
+
+def test_coverage_n100_every_eligible_threshold():
+    instance = generate_instance(
+        GeneratorSpec("coverage", n=100, size_max=100, seed=0))
+    sizes = {it.size for it in instance.items}
+    _assert_matches_reference(instance, sorted(sizes | {s - 1 for s in sizes} - {0}))
+
+
+def _bumped_table(weights: dict, pair: str) -> Instance:
+    """Modular values, plus 0.9 TOL on every set holding both items of
+    pair: packing one of them lets the other's gain grow by that much,
+    which the table's tolerance allows."""
+    ids = sorted(weights)
+    values = {}
+    for mask in range(2 ** len(ids)):
+        subset = [i for k, i in enumerate(ids) if mask >> k & 1]
+        bump = 0.9 * TOL if set(pair) <= set(subset) else 0.0
+        values[",".join(subset)] = sum(weights[i] for i in subset) + bump
+    return Instance(tuple(Item(i, 1) for i in ids), TableOracle(values))
+
+
+@pytest.mark.parametrize("weights, pair, order", [
+    # a's stale bound trails b by more than TOL, its density on {c} does
+    # not, so the scan keeps a where a trusted bound would pick b
+    ({"a": 0.5, "b": 0.5 + 1.5 * TOL, "c": 1.0}, "ac", "cab"),
+    # on {d}, a, b and c are fresh and within TOL, and the scan starts from
+    # a; e's stale bound hides that its density beats a by 1.3 TOL
+    ({"a": 0.5, "b": 0.5 + 0.8 * TOL, "c": 0.5 + 0.5 * TOL,
+      "d": 1.0, "e": 0.5 + 0.4 * TOL}, "de", "deabc"),
+])
+def test_stale_bounds_below_tolerant_table_gains(weights, pair, order):
+    instance = _bumped_table(weights, pair)
+    gamma = len(weights)
+    assert "".join(greedy_sequence(instance, gamma).order) == order \
+        == "".join(reference_greedy(instance, gamma)[0])
+    _assert_matches_reference(instance, breakpoints(instance))

@@ -1,13 +1,14 @@
 import pytest
 
-from helpers import ex1, ex1_extended, ex3
-from subknap.core import Instance, Item, ModularOracle, size_breakpoints
+from helpers import ex1, ex1_extended, ex3, superadditive_table
+from subknap.core import (Instance, Item, ModularOracle, OracleValidationError,
+                          TableOracle, ValueOracle, size_breakpoints)
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap import policy
-from subknap.greedy import agreedy
+from subknap.greedy import agreedy, mgreedy
 from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_MAIN_GREEDY,
                             PHASE_START_ITEM, IndispensabilityResult,
-                            execute_policy,
+                            StartList, execute_policy,
                             indispensability_interval, is_indispensable,
                             make_fit_oracle, start_item_list)
 
@@ -229,3 +230,40 @@ def test_flagged_items_have_small_nonempty_prefixes():
                 assert res.greedy_prefix
                 assert it.size > inst.total_size(res.greedy_prefix)
         assert flagged >= 1
+
+
+# ---------------------------------------------------------------------------
+# oracle-call gate
+
+#: ValueOracle.evaluate calls for the start list plus policy, agreedy and
+#: mgreedy at 20 capacities on n=100 coverage; greedy runs computed once per
+#: capacity with a full rescan per selection made 296 497
+EVALUATE_CALL_CEILING = 20_884
+
+
+def test_oracle_calls_stay_under_ceiling(monkeypatch):
+    calls = 0
+    evaluate = ValueOracle.evaluate
+
+    def counting(self, ids):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, ids)
+
+    monkeypatch.setattr(ValueOracle, "evaluate", counting)
+    inst = generate_instance(GeneratorSpec("coverage", n=100, size_max=100, seed=0))
+    total = sum(it.size for it in inst.items)
+    start_item_list(inst)
+    for k in range(1, 21):
+        gamma = round(k * total / 20)
+        execute_policy(inst, make_fit_oracle(gamma))
+        agreedy(inst, gamma)
+        mgreedy(inst, gamma)
+    assert calls <= EVALUATE_CALL_CEILING
+
+
+def test_policy_refuses_invalid_table_with_given_start_list():
+    inst = Instance((Item("a", 1), Item("b", 1)),
+                    TableOracle(superadditive_table()))
+    with pytest.raises(OracleValidationError):
+        execute_policy(inst, make_fit_oracle(2), start_list=StartList(()))
