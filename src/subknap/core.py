@@ -57,13 +57,25 @@ def check_capacity(gamma) -> int:
     return gamma
 
 
+def _finite_float(value) -> float | None:
+    """value as a finite float, or None for non-numbers, NaN, infinities and
+    integers beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _check_finite(value, what: str) -> float:
     """An oracle parameter as a float; non-numeric and non-finite values are
     configuration errors, since NaN would otherwise pass every comparison."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    number = _finite_float(value)
+    if number is None:
         raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +93,10 @@ class Item:
             raise ConfigurationError(
                 f"item {self.id!r}: size must be a positive integer, got {self.size!r}"
             )
+        if _finite_float(self.size) is None:
+            # densities divide float values by sizes
+            raise ConfigurationError(
+                f"item {self.id!r}: size {self.size!r} exceeds the float range")
 
 
 class ValueOracle:

@@ -17,8 +17,8 @@ from . import bounds
 from .core import (Instance, TOL, check_capacity, curvature, instance_digest,
                    size_breakpoints, sorted_ids, value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
-from .policy import (execute_policy, indispensability_interval, is_indispensable,
-                     make_fit_oracle)
+from .policy import (_head_change, execute_policy, indispensability_interval,
+                     is_indispensable, make_fit_oracle)
 
 MAX_EXHAUSTIVE_ITEMS = 22
 
@@ -389,7 +389,7 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
     For each flagged item: the replay prefix is nonempty and strictly smaller
     than the item; agreedy returns the item exactly on the computed capacity
     interval (checked at every breakpoint and at the interval edges); and at
-    the first breakpoint where the head of the greedy order changes, the
+    the first capacity where the head of the greedy order changes, the
     first larger item either leads the new order or is itself the agreedy
     answer there.
     """
@@ -424,22 +424,16 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
                 f"{it.id}: agreedy override at gamma={cap} expected={expected}",
                 actual == expected)
 
-        run1 = greedy_sequence(instance, interval.gamma1)
-        head = run1.order[:run1.k + 1]
-        for cap in caps:
-            if cap <= interval.gamma1:
-                continue
-            run2 = greedy_sequence(instance, cap)
-            if run2.order[:run1.k + 1] == head:
-                continue
-            larger = next((i for i in run2.order if instance.size(i) > it.size), None)
+        cap = _head_change(instance, greedy_sequence(instance, interval.gamma1))
+        if cap is not None:
+            order = greedy_sequence(instance, cap).order
+            larger = next((i for i in order if instance.size(i) > it.size), None)
             rec.check(
                 f"{it.id}: first larger item at order-change gamma={cap} "
                 f"leads or overrides ({larger})",
                 larger is not None and (
-                    larger == run2.order[0]
+                    larger == order[0]
                     or agreedy_override(instance, cap) == larger))
-            break
     if flagged == 0:
         notes.append("no indispensable items; all properties hold vacuously")
     return CheckReport("indispensable_properties", rec.trials,

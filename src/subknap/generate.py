@@ -44,6 +44,12 @@ class GeneratorSpec:
             raise GenerationError(f"n={self.n} too small for kind {self.kind!r}")
         if self.size_max < 1:
             raise GenerationError("size_max must be at least 1")
+        if self.elements is not None and self.elements < 1:
+            raise GenerationError(f"elements must be at least 1, got {self.elements}")
+        if not 0.0 <= self.cover_density <= 1.0:  # also refuses NaN
+            raise GenerationError(
+                f"cover density must be a finite number in [0, 1], "
+                f"got {self.cover_density!r}")
 
     def header(self) -> dict:
         h = {"algorithm": GENERATOR_ALGORITHM, "kind": self.kind,

@@ -74,8 +74,9 @@ def best_density_item(instance: Instance, packed: set[str] | frozenset[str],
 
 
 class DensityQueue:
-    """Candidates packed one by one, each picked as best_density_item would
-    pick it, but evaluated lazily (Minoux 1978).
+    """Candidates packed one by one into an initially empty set; select()
+    picks as best_density_item would, but evaluates lazily (Minoux 1978).
+    The candidates only shrink: by pack, drop and discard_from.
 
     Every candidate keeps the density it had when last evaluated, on a
     subset of the current packed set.  By submodularity that density bounds
@@ -90,13 +91,12 @@ class DensityQueue:
     with the scan's arithmetic, so equal choices give equal floats.
     """
 
-    def __init__(self, instance: Instance, packed: frozenset[str],
-                 packed_value: float, candidates: Iterable[str]):
+    def __init__(self, instance: Instance, candidates: Iterable[str]):
         oracle = instance.oracle
         oracle.ensure_usable()  # the bounds rely on a validated oracle
         self._instance = instance
-        self.packed = packed
-        self.packed_value = packed_value
+        self.packed: frozenset[str] = frozenset()
+        self.packed_value = 0.0
         self._live = sorted(candidates)
         # per live candidate: density bound, len(packed) when it was
         # computed, and the packed value with the candidate at that time
@@ -142,11 +142,15 @@ class DensityQueue:
             self._refresh(stale)
 
     def pack(self, item_id: str, value: float) -> None:
-        """Add a selected candidate to the packed set, whose value becomes value."""
-        del self._live[bisect.bisect_left(self._live, item_id)]
-        self._forget(item_id)
+        """Add a candidate to the packed set, whose value becomes value."""
+        self.drop(item_id)
         self.packed = self.packed | {item_id}
         self.packed_value = value
+
+    def drop(self, item_id: str) -> None:
+        """Drop one candidate without packing it."""
+        del self._live[bisect.bisect_left(self._live, item_id)]
+        self._forget(item_id)
 
     def discard_from(self, size: int) -> None:
         """Drop every candidate of at least this size."""
@@ -214,7 +218,7 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
 def _greedy_order(instance: Instance, threshold: int
                   ) -> tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]:
     """(order, marginals, prefix sizes) of the items of size <= threshold."""
-    queue = DensityQueue(instance, frozenset(), 0.0,
+    queue = DensityQueue(instance,
                          (it.id for it in instance.items if it.size <= threshold))
     order: list[str] = []
     marginals: list[float] = []

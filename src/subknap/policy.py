@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Item, check_capacity, size_breakpoints, sorted_ids
-from .greedy import (DensityQueue, Solution, _override_item, greedy_sequence,
-                     make_solution)
+from .core import Instance, Item, check_capacity, sorted_ids
+from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
+                     greedy_sequence, make_solution)
 
 REASON_INDISPENSABLE = "indispensable"
 REASON_FIRST_GREEDY = "first_greedy"
@@ -129,24 +129,33 @@ def indispensability_interval(instance: Instance, item) -> IndispensabilityInter
 
     The interval starts at the item's own size.  It ends where the item
     itself starts to fit after its prefix, or earlier at the first capacity
-    breakpoint where the head of the greedy order changes, whichever comes
-    first.  Absent for items that are not indispensable.
+    where the head of the greedy order changes, whichever comes first.
+    Absent for items that are not indispensable.
     """
     it = _resolve(instance, item)
     if not is_indispensable(instance, it).indispensable:
         return None
-    gamma1 = it.size
-    run = greedy_sequence(instance, gamma1)
-    head = run.order[:run.k + 1]
+    run = greedy_sequence(instance, it.size)
     fits_with_prefix = run.prefix_sizes[run.k]  # s(prefix) + s(item)
-    for cap in size_breakpoints(instance.items):
-        if cap <= gamma1:
-            continue
-        if cap >= fits_with_prefix:
+    change = _head_change(instance, run, fits_with_prefix)
+    return IndispensabilityInterval(it.size, change or fits_with_prefix)
+
+
+def _head_change(instance: Instance, run: GreedyRun,
+                 below: int | None = None) -> int | None:
+    """First capacity above run.capacity (and below `below`) at which the
+    first k+1 items of the greedy order change, or None.
+
+    An order depends on the capacity only through the largest eligible item
+    size, so the head can change only at a capacity equal to an item size.
+    """
+    head = run.order[:run.k + 1]
+    for size in sorted({it.size for it in instance.items if it.size > run.capacity}):
+        if below is not None and size >= below:
             break
-        if greedy_sequence(instance, cap).order[:run.k + 1] != head:
-            return IndispensabilityInterval(gamma1, cap)
-    return IndispensabilityInterval(gamma1, fits_with_prefix)
+        if greedy_sequence(instance, size).order[:run.k + 1] != head:
+            return size
+    return None
 
 
 def start_item_list(instance: Instance) -> StartList:
@@ -169,69 +178,61 @@ def start_item_list(instance: Instance) -> StartList:
     return StartList(tuple(entries))
 
 
-def execute_policy(instance: Instance, oracle: FitOracle,
-                   start_list: StartList | None = None) -> PolicyTrace:
+def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     """Run the oblivious policy against a fit-query interface.
 
-    Step 1 tries start items from largest to smallest; a failed attempt
-    discards every pool item at least that large.  Step 2 replays the packed
-    start item's greedy prefix, dropping prefix items from the pool whether
-    or not they fit.  Step 3 packs the remaining pool adaptively by marginal
-    density with the same discard rule.  Packed items are never removed.
+    The start list is always the instance's own (start_item_list, cached per
+    instance), and one candidate pool serves all three steps; it only
+    shrinks, and packed items never return to it.  Step 1 tries start items
+    from largest to smallest; a failed attempt discards every pool item at
+    least that large.  Step 2 replays the packed start item's greedy prefix,
+    dropping prefix items from the pool whether or not they fit.  Step 3
+    packs the rest of the pool adaptively by marginal density with the same
+    discard rule.
     """
-    if start_list is None:
-        start_list = instance.cached("start_list",
-                                     lambda: start_item_list(instance))
-
-    pool = {it.id for it in instance.items}
-    packed: list[str] = []
+    queue = DensityQueue(instance, instance.ids)
+    start_list = instance.cached("start_list", lambda: start_item_list(instance))
     packed_size = 0
     attempts: list[PolicyAttempt] = []
-    prefix_order: tuple[str, ...] = ()
+
+    def attempt(item_id: str, phase: str) -> bool:
+        nonlocal packed_size
+        size = instance.size(item_id)
+        ok = oracle.fits(packed_size + size)
+        attempts.append(PolicyAttempt(item_id, ok, phase))
+        if ok:
+            packed_size += size
+        return ok
 
     # Step 1: largest start item that fits opens the knapsack
+    prefix_order: tuple[str, ...] = ()
     for entry in reversed(start_list.entries):
-        it = instance.item(entry.item_id)
-        ok = oracle.fits(packed_size + it.size)
-        attempts.append(PolicyAttempt(it.id, ok, PHASE_START_ITEM))
-        if ok:
-            packed.append(it.id)
-            packed_size += it.size
-            pool.discard(it.id)
+        iid = entry.item_id
+        if attempt(iid, PHASE_START_ITEM):
+            queue.pack(iid, instance.value({iid}))
             if entry.reason == REASON_INDISPENSABLE:
-                run = greedy_sequence(instance, it.size)
+                run = greedy_sequence(instance, instance.size(iid))
                 prefix_order = run.order[:run.k]
             break
-        pool = {i for i in pool if instance.size(i) < it.size}
+        queue.discard_from(instance.size(iid))
 
     # Step 2: replay the start item's greedy prefix in order
     for iid in prefix_order:
-        size = instance.size(iid)
-        ok = oracle.fits(packed_size + size)
-        attempts.append(PolicyAttempt(iid, ok, PHASE_GREEDY_PREFIX))
-        if ok:
-            packed.append(iid)
-            packed_size += size
-        pool.discard(iid)
+        if attempt(iid, PHASE_GREEDY_PREFIX):
+            queue.pack(iid, instance.value(queue.packed | {iid}))
+        else:
+            queue.drop(iid)
 
-    # Step 3: adaptive greedy over whatever is left; the packed set only
-    # grows and the pool only shrinks, so one lazy queue serves every step
-    packed_set = frozenset(packed)
-    queue = DensityQueue(instance, packed_set, instance.value(packed_set), pool)
+    # Step 3: adaptive greedy over whatever is left
     while queue:
         best_id, best_value = queue.select()
-        size = instance.size(best_id)
-        ok = oracle.fits(packed_size + size)
-        attempts.append(PolicyAttempt(best_id, ok, PHASE_MAIN_GREEDY))
-        if ok:
-            packed.append(best_id)
-            packed_size += size
+        if attempt(best_id, PHASE_MAIN_GREEDY):
             queue.pack(best_id, best_value)
         else:
-            queue.discard_from(size)
+            queue.discard_from(instance.size(best_id))
 
     return PolicyTrace(
         attempts=tuple(attempts),
-        packed=make_solution(instance, packed),
+        packed=make_solution(instance, queue.packed),
         query_count=oracle.query_count,
     )

@@ -4,8 +4,10 @@ import bisect
 from itertools import combinations
 
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
-                          TableOracle, sorted_ids, value_gt)
+                          TableOracle, size_breakpoints, sorted_ids, value_gt)
 from subknap.generate import GeneratorSpec
+from subknap.greedy import greedy_sequence
+from subknap.policy import is_indispensable
 
 CORPUS_KINDS = ("modular", "coverage", "concave_modular", "planted")
 SEEDS_PER_KIND = 50
@@ -200,3 +202,22 @@ def reference_policy(instance: Instance, gamma: int,
         "total_size": instance.total_size(packed),
         "query_count": queries,
     }
+
+
+def reference_interval(instance: Instance, item_id: str) -> tuple[int, int] | None:
+    """(gamma1, gamma2) of indispensability_interval, found by walking every
+    subset-sum breakpoint for the first change of the greedy head."""
+    if not is_indispensable(instance, item_id).indispensable:
+        return None
+    gamma1 = instance.size(item_id)
+    run = greedy_sequence(instance, gamma1)
+    head = run.order[:run.k + 1]
+    fits_with_prefix = run.prefix_sizes[run.k]
+    for cap in size_breakpoints(instance.items):
+        if cap <= gamma1:
+            continue
+        if cap >= fits_with_prefix:
+            break
+        if greedy_sequence(instance, cap).order[:run.k + 1] != head:
+            return gamma1, cap
+    return gamma1, fits_with_prefix

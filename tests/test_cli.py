@@ -61,9 +61,21 @@ def test_gen_concave_exponent_one_is_modular(tmp_path):
     assert curvature(load_instance(out)) == 0.0
 
 
-def test_gen_bad_knobs_exit_2(tmp_path):
+@pytest.mark.parametrize("knobs, named", [
+    (["--kind", "planted", "--n", "1"], "n="),
+    (["--kind", "coverage", "--n", "4", "--elements", "0"], "elements"),
+    (["--kind", "coverage", "--n", "4", "--elements", "-3"], "elements"),
+    (["--kind", "coverage", "--n", "4", "--density", "nan"], "density"),
+    (["--kind", "coverage", "--n", "4", "--density", "-1"], "density"),
+    (["--kind", "coverage", "--n", "4", "--density", "2"], "density"),
+], ids=["n_1", "elements_0", "elements_negative", "density_nan",
+        "density_negative", "density_above_1"])
+def test_gen_bad_knobs_exit_2(knobs, named, tmp_path, capsys):
     out = tmp_path / "x.json"
-    assert main(["gen", "--kind", "planted", "--n", "1", "-o", str(out)]) == 2
+    assert main(["gen", *knobs, "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +126,15 @@ def test_eval_refuses_invalid_table(bad_table_file):
     ' "objective": {"kind": "modular", "weights": {"a": 1.7e308, "b": 1.7e308}}}',
     '{"items": [{"id": null, "size": 1}],'
     ' "objective": {"kind": "modular", "weights": {"None": 1.0}}}',
+    '{"items": [{"id": "a", "size": 1}],'
+    ' "objective": {"kind": "modular", "weights": {"a": 1%s}}}' % ("0" * 400),
+    '{"items": [{"id": "a", "size": 1}], "objective": {"kind":'
+    ' "concave_modular", "weights": {"a": 1.0}, "exponent": 1%s}}' % ("0" * 400),
+    '{"items": [{"id": "a", "size": 1%s}],'
+    ' "objective": {"kind": "modular", "weights": {"a": 1.0}}}' % ("0" * 400),
 ], ids=["non_object_item", "string_weight", "nan_weight", "overflowing_weights",
-        "null_id"])
+        "null_id", "oversized_int_weight", "oversized_int_exponent",
+        "oversized_int_size"])
 def test_eval_malformed_instance_exit_2(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_greedy, reference_policy, reference_start_list
+from helpers import (reference_greedy, reference_interval, reference_policy,
+                     reference_start_list)
 from subknap.core import (TOL, CoverageOracle, Instance, Item, ModularOracle,
                           OracleValidationError, TableOracle)
 from subknap.exact import breakpoints
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
-from subknap.policy import execute_policy, make_fit_oracle, start_item_list
+from subknap.policy import (execute_policy, indispensability_interval,
+                            make_fit_oracle, start_item_list)
 
 
 def _assert_matches_reference(instance, capacities) -> None:
@@ -136,3 +138,31 @@ def test_stale_bounds_below_tolerant_table_gains(weights, pair, order):
     assert "".join(greedy_sequence(instance, gamma).order) == order \
         == "".join(reference_greedy(instance, gamma)[0])
     _assert_matches_reference(instance, breakpoints(instance))
+
+
+# ---------------------------------------------------------------------------
+# the head-change walk visits item sizes only; the reference walks every
+# subset-sum breakpoint
+
+def _assert_intervals_match_reference(instance) -> None:
+    for it in instance.items:
+        interval = indispensability_interval(instance, it.id)
+        got = None if interval is None else (interval.gamma1, interval.gamma2)
+        assert got == reference_interval(instance, it.id), it.id
+
+
+def test_indispensability_intervals_match_breakpoint_walk(corpus):
+    for _, instance in corpus:
+        _assert_intervals_match_reference(instance)
+    _assert_intervals_match_reference(generate_instance(
+        GeneratorSpec("planted", n=100, size_max=100, seed=0)))
+
+
+def test_interval_ends_at_head_change_past_a_subset_sum():
+    # b is indispensable at 10 with prefix a; the sum b+e = 11 leaves the
+    # head alone, and the denser c reorders it at 12, before a+b = 13 fits
+    instance = Instance(
+        (Item("a", 3), Item("b", 10), Item("c", 12), Item("e", 1)),
+        ModularOracle({"a": 3.0, "b": 7.5, "c": 13.2, "e": 0.1}))
+    assert reference_interval(instance, "b") == (10, 12)
+    _assert_intervals_match_reference(instance)

@@ -22,7 +22,9 @@ _json = st.recursive(
     max_leaves=5)
 
 _ids = st.sampled_from(["a", "b", "c"])
-_number = st.floats() | st.integers(-2, 5) | _json
+# JSON integers may lie beyond the float range
+_oversized = st.integers(2 ** 1024, 10 ** 400)
+_number = st.floats() | st.integers(-2, 5) | _oversized | _json
 
 
 def _mapping(keys, values):
@@ -30,7 +32,7 @@ def _mapping(keys, values):
 
 
 _item = st.fixed_dictionaries(
-    {"id": _ids | _json, "size": st.integers(-1, 4) | _json}) | _json
+    {"id": _ids | _json, "size": st.integers(-1, 4) | _oversized | _json}) | _json
 
 _objective = st.one_of(
     st.fixed_dictionaries({"kind": st.just("modular"),

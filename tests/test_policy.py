@@ -8,9 +8,8 @@ from subknap import policy
 from subknap.greedy import agreedy, mgreedy
 from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_MAIN_GREEDY,
                             PHASE_START_ITEM, IndispensabilityResult,
-                            StartList, execute_policy,
-                            indispensability_interval, is_indispensable,
-                            make_fit_oracle, start_item_list)
+                            execute_policy, indispensability_interval,
+                            is_indispensable, make_fit_oracle, start_item_list)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +199,6 @@ def test_capacity_obliviousness_same_answers_same_trace():
                 assert a == b
 
 
-def test_policy_accepts_precomputed_start_list():
-    inst = ex1()
-    pre = start_item_list(inst)
-    assert execute_policy(inst, make_fit_oracle(2), start_list=pre) \
-        == execute_policy(inst, make_fit_oracle(2))
-
-
 def test_trace_serialization_shape():
     t = execute_policy(ex1(), make_fit_oracle(2))
     d = t.to_dict()
@@ -238,7 +230,7 @@ def test_flagged_items_have_small_nonempty_prefixes():
 #: ValueOracle.evaluate calls for the start list plus policy, agreedy and
 #: mgreedy at 20 capacities on n=100 coverage; greedy runs computed once per
 #: capacity with a full rescan per selection made 296 497
-EVALUATE_CALL_CEILING = 20_884
+EVALUATE_CALL_CEILING = 20_864
 
 
 def test_oracle_calls_stay_under_ceiling(monkeypatch):
@@ -266,4 +258,4 @@ def test_policy_refuses_invalid_table_with_given_start_list():
     inst = Instance((Item("a", 1), Item("b", 1)),
                     TableOracle(superadditive_table()))
     with pytest.raises(OracleValidationError):
-        execute_policy(inst, make_fit_oracle(2), start_list=StartList(()))
+        execute_policy(inst, make_fit_oracle(2))
