@@ -11,9 +11,9 @@ import math
 import sys
 
 from . import bounds, exact
-from .core import (ConfigurationError, Instance, OracleValidationError, TOL,
+from .core import (ConfigurationError, Instance, OracleValidationError,
                    check_capacity, load_instance, normalize_instance,
-                   save_instance, sorted_ids, validate_oracle, value_gt)
+                   save_instance, sorted_ids, validate_oracle, value_ge, value_gt)
 from .generate import KINDS, GenerationError, GeneratorSpec, generate_instance
 from .greedy import Solution, agreedy, mgreedy
 from .policy import execute_policy, make_fit_oracle
@@ -54,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="robustness sweep over all breakpoints")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--parallel", action="store_true",
-                   help="ignored: sweeps always run serially (accepted so that "
-                        "existing scripts keep working)")
 
     p = sub.add_parser("bound", help="tabulate the robustness factor curve")
     p.add_argument("grid", help="curvature grid as start:end:step, "
@@ -211,24 +208,19 @@ def _cmd_verify(args) -> int:
             f"skipped={skipped} trivial capacities)")
 
     report = exact.robustness_sweep(instance)
-
-    def tol(v: float) -> float:
-        return TOL * max(1.0, abs(v))
-
-    order_ok = all(r.opt_value >= max(r.mg_value, r.ag_value, r.policy_value)
-                   - tol(r.opt_value) for r in report.rows)
+    order_ok = all(value_ge(r.opt_value, max(r.mg_value, r.ag_value, r.policy_value))
+                   for r in report.rows)
     outcome("optimum dominates all algorithms", order_ok)
-    prop_ok = all(r.mg_value >= r.ag_value - tol(r.ag_value) for r in report.rows)
+    prop_ok = all(value_ge(r.mg_value, r.ag_value) for r in report.rows)
     outcome("mgreedy >= agreedy at every breakpoint", prop_ok)
-    main_ok = all(r.policy_value >= r.ag_value - tol(r.ag_value)
-                  for r in report.rows)
+    main_ok = all(value_ge(r.policy_value, r.ag_value) for r in report.rows)
     outcome("policy >= agreedy at every breakpoint", main_ok)
-    t10_ok = all(r.ag_value >= (report.alpha_bound - TOL) * r.opt_value
+    t10_ok = all(value_ge(r.ag_value, report.alpha_bound * r.opt_value)
                  for r in report.rows)
     outcome("agreedy >= alpha(c) * optimum at every breakpoint", t10_ok,
             f"(c={report.curvature!r}, alpha={report.alpha_bound!r})")
     outcome("empirical robustness >= alpha(c)",
-            report.empirical_robustness >= report.alpha_bound - TOL,
+            value_ge(report.empirical_robustness, report.alpha_bound),
             f"(empirical={report.empirical_robustness!r})")
     strict = [r.gamma for r in report.rows if value_gt(r.mg_value, r.ag_value)]
     if strict:

@@ -288,12 +288,15 @@ class TableOracle(ValueOracle):
             raise ConfigurationError(
                 f"table must define all {2 ** len(domain)} subsets, got {len(table)}")
         empty = table.get(frozenset())
-        if empty is None or abs(empty) > TOL:
+        if empty is None or not values_close(empty, 0.0):
             raise ConfigurationError("table value for the empty set must be 0")
         table[frozenset()] = 0.0
         super().__init__(domain)
         self._addends = 1
         self._table = table
+        # ensure_usable accepts a pairwise submodularity violation up to TOL
+        # times the larger of 1 and two compared sums of two values
+        self._accepted_violation = 2 * TOL * max(1.0, *map(abs, table.values()))
         self._usable: bool | None = None
 
     @staticmethod
@@ -311,15 +314,14 @@ class TableOracle(ValueOracle):
         return TableOracle(kept)
 
     def gain_drift(self, steps: int) -> float:
-        # ensure_usable accepts every pairwise submodularity violation up to
-        # TOL, measured on float sums of four values, so a gain may grow by
-        # that much with each item added to its base set
-        return (steps + 1) * (super().gain_drift(steps) + TOL)
+        # a gain may grow by each violation ensure_usable accepts, once with
+        # each item added to its base set
+        return (steps + 1) * (super().gain_drift(steps) + self._accepted_violation)
 
     def ensure_usable(self) -> None:
         if self._usable is None:
             report = _scan_oracle(self, sorted(self._domain), exhaustive=True)
-            self._usable = report.normalized and report.monotone and report.submodular
+            self._usable = report.ok
             self._first_violation = report.first_violation
         if not self._usable:
             raise OracleValidationError(
@@ -463,7 +465,7 @@ def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
             first = v
 
     empty = oracle.evaluate(())
-    if abs(empty) > TOL:
+    if not values_close(empty, 0.0):
         normalized = False
         record(Violation("normalized", (), (), abs(empty)))
 
@@ -490,17 +492,17 @@ def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
         sub_cases = _sub_sample()
 
     for a, u in mono_cases:
-        slack = oracle.evaluate(a) - oracle.evaluate(a | {u})
-        if slack > TOL:
+        before, after = oracle.evaluate(a), oracle.evaluate(a | {u})
+        if value_gt(before, after):
             monotone = False
-            record(Violation("monotone", sorted_ids(a), (u,), slack))
+            record(Violation("monotone", sorted_ids(a), (u,), before - after))
             break
 
     # pairwise diminishing-returns condition on every set and item pair
     for a, u1, u2 in sub_cases:
         lhs = oracle.evaluate(a | {u1}) + oracle.evaluate(a | {u2})
         rhs = oracle.evaluate(a | {u1, u2}) + oracle.evaluate(a)
-        if rhs - lhs > TOL:
+        if value_gt(rhs, lhs):
             submodular = False
             record(Violation("submodular", sorted_ids(a), (u1, u2), rhs - lhs))
             break
@@ -544,7 +546,7 @@ def curvature(instance: Instance) -> float:
     worst = math.inf
     for j in ids:
         singleton = instance.value({j})
-        if singleton <= TOL:
+        if not value_gt(singleton, 0.0):
             raise ValueError(
                 f"curvature requires strictly positive singletons; f({{{j}}}) = {singleton}")
         drop = full - instance.value(frozenset(ids) - {j})

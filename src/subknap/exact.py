@@ -15,7 +15,7 @@ from typing import Mapping
 
 from . import bounds
 from .core import (Instance, TOL, check_capacity, curvature, instance_digest,
-                   size_breakpoints, sorted_ids, value_gt, values_close)
+                   size_breakpoints, sorted_ids, value_ge, value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
@@ -200,21 +200,23 @@ class CheckReport:
 
 
 class _Recorder:
-    """Accumulates slack observations; a slack below -1e-9 is a failure."""
+    """Accumulates observations of inequalities lhs >= rhs; the slack is
+    lhs - rhs, and a trial fails unless value_ge(lhs, rhs)."""
 
     def __init__(self) -> None:
         self.trials = 0
         self.failures: list[Failure] = []
         self.worst = math.inf
 
-    def observe(self, witness: str, slack: float) -> None:
+    def observe(self, witness: str, lhs: float, rhs: float) -> None:
+        slack = lhs - rhs
         self.trials += 1
         self.worst = min(self.worst, slack)
-        if slack < -TOL:
+        if not value_ge(lhs, rhs):
             self.failures.append(Failure(witness, slack))
 
     def check(self, witness: str, ok: bool) -> None:
-        self.observe(witness, 0.0 if ok else -1.0)
+        self.observe(witness, 0.0, 0.0 if ok else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def check_theorem6(instance: Instance, gamma: int) -> CheckReport:
             factor = (1.0 - math.exp(-c * z)) / c
         fj = instance.value(run.prefix(j))
         rec.observe(f"gamma={gamma} j={j}: f(G_j)={fj!r} bound={factor * opt!r}",
-                    fj - factor * opt)
+                    fj, factor * opt)
     return CheckReport("theorem6", rec.trials, tuple(rec.failures), rec.worst)
 
 
@@ -282,7 +284,7 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
             rhs = (c * sj / gamma) * (opt.value - sum_delta) \
                 + ((1.0 - c) * sj / denom1) * (opt.value - sum_chi_delta)
             rec.observe(f"gamma={gamma} (i) j={j}: delta={delta!r} bound={rhs!r}",
-                        delta - rhs)
+                        delta, rhs)
 
         denom2 = gamma - (1.0 - c) * prefix_size
         if denom2 <= TOL:
@@ -290,7 +292,7 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
         else:
             rhs = (sj / denom2) * (opt.value - sum_delta)
             rec.observe(f"gamma={gamma} (ii) j={j}: delta={delta!r} bound={rhs!r}",
-                        delta - rhs)
+                        delta, rhs)
 
         sum_delta += delta
         sum_chi_delta += chi[j - 1] * delta
@@ -323,21 +325,21 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
 
     def check_marginal_lower(a: frozenset, j: str) -> None:
         counts["marginal_lower"] += 1
-        slack = (value_of(a | {j}) - value_of(a)) - (1.0 - c) * value_of({j})
-        rec.observe(f"marginal_lower A={sorted(a)} j={j}", slack)
+        rec.observe(f"marginal_lower A={sorted(a)} j={j}",
+                    value_of(a | {j}) - value_of(a), (1.0 - c) * value_of({j}))
 
     def check_disjoint_union(a: frozenset, b: frozenset) -> None:
         counts["disjoint_union"] += 1
-        slack = value_of(a | b) - value_of(a) \
-            - (1.0 - c) * sum(value_of({i}) for i in sorted(b))
-        rec.observe(f"disjoint_union A={sorted(a)} B={sorted(b)}", slack)
+        rec.observe(f"disjoint_union A={sorted(a)} B={sorted(b)}",
+                    value_of(a | b) - value_of(a),
+                    (1.0 - c) * sum(value_of({i}) for i in sorted(b)))
 
     def check_marginal_sum_upper(a: frozenset, b: frozenset) -> None:
         counts["marginal_sum_upper"] += 1
         fa = value_of(a)
         bound = fa + sum(value_of(a | {u}) - fa for u in sorted(b - a))
         rec.observe(f"marginal_sum_upper A={sorted(a)} B={sorted(b)}",
-                    bound - value_of(b))
+                    bound, value_of(b))
 
     if n <= 8:
         for mask in range(1 << n):

@@ -1,11 +1,14 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from helpers import ex1, ex3, superadditive_table
 from subknap.cli import main
 from subknap.core import (Instance, Item, ModularOracle, TableOracle,
-                          curvature, load_instance, save_instance)
+                          curvature, instance_from_dict, instance_to_dict,
+                          load_instance, save_instance)
+from subknap.generate import GeneratorSpec, generate_instance
 from subknap.policy import start_item_list
 
 
@@ -21,6 +24,16 @@ def ex3_file(tmp_path):
     path = tmp_path / "ex3.json"
     save_instance(ex3(), path)
     return str(path)
+
+
+def _scaled_coverage() -> Instance:
+    """Generated coverage n=6 seed=1 with every element weight times 1e6/3:
+    values near 10^7, whose float sums miss submodularity by 1.9e-9."""
+    data = instance_to_dict(generate_instance(
+        GeneratorSpec("coverage", n=6, size_max=8, seed=1)))
+    elements = data["objective"]["elements"]
+    data["objective"]["elements"] = {e: w * 1e6 / 3 for e, w in elements.items()}
+    return instance_from_dict(data)
 
 
 @pytest.fixture
@@ -111,6 +124,16 @@ def test_eval_error_paths(ex1_file, tmp_path, capsys):
     assert main(["eval", "-i", ex1_file, "--gamma", "0", "--alg", "opt"]) == 2
 
 
+def test_eval_accepts_large_valued_table(tmp_path, capsys):
+    instance = _scaled_coverage()
+    values = {",".join(s): instance.value(s) for r in range(instance.n + 1)
+              for s in combinations(instance.ids, r)}
+    path = tmp_path / "table.json"
+    save_instance(Instance(instance.items, TableOracle(values)), path)
+    assert main(["eval", "-i", str(path), "--gamma", "10", "--alg", "agreedy"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_refuses_invalid_table(bad_table_file):
     assert main(["eval", "-i", bad_table_file, "--gamma", "2",
                  "--alg", "agreedy"]) == 2
@@ -156,12 +179,14 @@ def test_sweep_ex1(ex1_file, tmp_path, capsys):
 
 
 def test_sweep_ex3_parallel_identical(ex3_file, tmp_path):
-    serial, parallel = tmp_path / "a.csv", tmp_path / "b.csv"
+    serial = tmp_path / "a.csv"
     assert main(["sweep", "-i", ex3_file, "-o", str(serial)]) == 0
-    assert main(["sweep", "-i", ex3_file, "-o", str(parallel),
-                 "--parallel"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
     assert "# empirical_robustness=0.52631578" in serial.read_text()
+    # sweeps are serial; the option that once selected a thread pool is gone
+    with pytest.raises(SystemExit) as refused:
+        main(["sweep", "-i", ex3_file, "-o", str(tmp_path / "b.csv"),
+              "--parallel"])
+    assert refused.value.code == 2
 
 
 def test_sweep_guard_exit_2(tmp_path):
@@ -234,6 +259,13 @@ def test_verify_ex3_notes_strict_gap(ex3_file, capsys):
     assert main(["verify", "-i", ex3_file, "--trials", "50"]) == 0
     out = capsys.readouterr().out
     assert "strict mgreedy > agreedy at gamma in [2]" in out
+
+
+def test_verify_passes_at_large_values(tmp_path, capsys):
+    path = tmp_path / "scaled.json"
+    save_instance(_scaled_coverage(), path)
+    assert main(["verify", "-i", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_bad_table_exit_1_with_witness(bad_table_file, capsys):

@@ -111,14 +111,15 @@ def test_coverage_n100_every_eligible_threshold():
 
 
 def _bumped_table(weights: dict, pair: str) -> Instance:
-    """Modular values, plus 0.9 TOL on every set holding both items of
-    pair: packing one of them lets the other's gain grow by that much,
-    which the table's tolerance allows."""
+    """Modular values, plus 0.9 TOL times the largest weight on every set
+    holding both items of pair: packing one of them lets the other's gain
+    grow by that much, which the table's scaled tolerance allows."""
     ids = sorted(weights)
+    scale = max(weights.values())
     values = {}
     for mask in range(2 ** len(ids)):
         subset = [i for k, i in enumerate(ids) if mask >> k & 1]
-        bump = 0.9 * TOL if set(pair) <= set(subset) else 0.0
+        bump = 0.9 * TOL * scale if set(pair) <= set(subset) else 0.0
         values[",".join(subset)] = sum(weights[i] for i in subset) + bump
     return Instance(tuple(Item(i, 1) for i in ids), TableOracle(values))
 
@@ -131,6 +132,19 @@ def _bumped_table(weights: dict, pair: str) -> Instance:
     # a; e's stale bound hides that its density beats a by 1.3 TOL
     ({"a": 0.5, "b": 0.5 + 0.8 * TOL, "c": 0.5 + 0.5 * TOL,
       "d": 1.0, "e": 0.5 + 0.4 * TOL}, "de", "deabc"),
+] + [
+    # the same two shapes with weights and bump k times larger; densities
+    # near 0.5 k tie within 0.5 k TOL, so their offsets are sized to that.
+    # A gain may grow by about k TOL per packed item, which only a drift
+    # margin scaled with the table's values covers
+    pytest.param({i: w * k for i, w in weights.items()}, pair, order,
+                 id=f"{pair}-x{k}")
+    for k in (10, 100, 1000)
+    for weights, pair, order in [
+        ({"a": 0.5, "b": 0.5 + TOL, "c": 1.0}, "ac", "cab"),
+        ({"a": 0.5, "b": 0.5 + 0.2 * TOL, "c": 0.5 + 0.1 * TOL,
+          "d": 1.0, "e": 0.5 + 0.05 * TOL}, "de", "deabc"),
+    ]
 ])
 def test_stale_bounds_below_tolerant_table_gains(weights, pair, order):
     instance = _bumped_table(weights, pair)
