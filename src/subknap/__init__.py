@@ -7,7 +7,7 @@ from .core import (ConfigurationError, Instance, Item, OracleValidationError,
                    instance_digest, load_instance, make_concave_modular_oracle,
                    make_coverage_oracle, make_modular_oracle, make_table_oracle,
                    normalize_instance, save_instance, validate_oracle)
-from .exact import (BreakpointSet, CheckReport, GuardError, SweepReport,
+from .exact import (CheckReport, GuardError, SweepReport,
                     SweepRow, breakpoints, brute_force_opt,
                     check_curvature_lemma, check_indispensable_properties,
                     check_lemma2, check_theorem6, robustness_sweep)
@@ -22,7 +22,7 @@ from .policy import (FitOracle, IndispensabilityInterval,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundResult", "BoundTable", "BreakpointSet", "CheckReport",
+    "BoundResult", "BoundTable", "CheckReport",
     "ConfigurationError", "FitOracle", "GenerationError", "GeneratorSpec",
     "GreedyRun", "GuardError", "IndispensabilityInterval",
     "IndispensabilityResult", "Instance", "Item", "KAWASE_DETERMINISTIC",

@@ -155,6 +155,9 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = _load(args.instance)
+    caps = exact.breakpoints(instance)  # refuse before any outcome is printed
+    if args.trials < 1:
+        raise ConfigurationError("--trials must be at least 1")
     failed = False
 
     def outcome(name: str, ok: bool, detail: str = "") -> None:
@@ -188,7 +191,6 @@ def _cmd_verify(args) -> int:
                                           seed=args.seed))
     run_check(exact.check_indispensable_properties(instance))
 
-    caps = exact.breakpoints(instance).capacities
     t6_worst = l2_worst = float("inf")
     t6_fail = l2_fail = 0
     skipped = 0

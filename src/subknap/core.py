@@ -378,9 +378,10 @@ class Instance:
     def cached(self, key, build):
         """Result of build() memoized on this instance under key.
 
-        Instances and their oracles are immutable, so results derived from
-        them (greedy orders, the start list, the subset table) are computed once
-        per instance.
+        Instances and their oracles are immutable, so what is derived from
+        them is computed once per instance: greedy orders, the start list,
+        singleton values, the subset table (the memo keeps no copy of it),
+        breakpoints, curvature and the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -537,8 +538,12 @@ def curvature(instance: Instance) -> float:
     Computed as one minus the smallest ratio between an item's marginal on
     the rest of the ground set and its singleton value.  The result is
     clamped to [0, 1] only to absorb float noise up to 1e-9; anything larger
-    means the oracle is broken and raises.
+    means the oracle is broken and raises.  Computed once per instance.
     """
+    return instance.cached("curvature", lambda: _curvature(instance))
+
+
+def _curvature(instance: Instance) -> float:
     if instance.n < 1:
         raise ValueError("curvature requires at least one item")
     ids = instance.ids

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import bounds
 from .core import (Instance, TOL, check_capacity, curvature, instance_digest,
@@ -38,24 +38,29 @@ def _guard(instance: Instance) -> None:
 # brute-force optimum
 
 def _subset_table(instance: Instance) -> tuple:
-    """(sorted ids, total size, value) for every subset."""
+    """(sorted ids, total size, value) for every subset; values come from the
+    oracle's uncached value function, so the memo keeps no copy of them."""
     ids = list(instance.ids)
     sizes = [instance.size(i) for i in ids]
-    value_of = instance.oracle.evaluate
+    value_of = instance.oracle._value
     rows = []
     for mask in range(1 << len(ids)):
         members = tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
         total = sum(sizes[i] for i in range(len(ids)) if mask >> i & 1)
-        rows.append((members, total, value_of(members)))
+        rows.append((members, total, value_of(frozenset(members))))
     return tuple(rows)
 
 
 def brute_force_opt(instance: Instance, gamma: int) -> Solution:
     """Best feasible subset by full enumeration; value ties go to the
-    lexicographically smallest id sequence."""
+    lexicographically smallest id sequence; one scan per capacity."""
     _guard(instance)
     gamma = check_capacity(gamma)
     instance.oracle.ensure_usable()
+    return instance.cached(("opt", gamma), lambda: _scan_opt(instance, gamma))
+
+
+def _scan_opt(instance: Instance, gamma: int) -> Solution:
     best_ids: tuple[str, ...] = ()
     best_size = 0
     best_value = 0.0
@@ -72,22 +77,10 @@ def brute_force_opt(instance: Instance, gamma: int) -> Solution:
 # ---------------------------------------------------------------------------
 # breakpoints and sweeps
 
-@dataclass(frozen=True)
-class BreakpointSet:
-    """All capacities at which any algorithm's behavior can change."""
-
-    capacities: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.capacities)
-
-    def __len__(self) -> int:
-        return len(self.capacities)
-
-
-def breakpoints(instance: Instance) -> BreakpointSet:
+def breakpoints(instance: Instance) -> tuple[int, ...]:
+    """Ascending capacities at which any algorithm's behavior can change."""
     _guard(instance)
-    return BreakpointSet(size_breakpoints(instance.items))
+    return instance.cached("breakpoints", lambda: size_breakpoints(instance.items))
 
 
 @dataclass(frozen=True)
@@ -201,21 +194,23 @@ class CheckReport:
 
 class _Recorder:
     """Accumulates observations of inequalities lhs >= rhs; the slack is
-    lhs - rhs, and a trial fails unless value_ge(lhs, rhs)."""
+    lhs - rhs, and a trial fails unless value_ge(lhs, rhs).  A witness is a
+    zero-argument callable, formatted at once and only for a failing trial.
+    """
 
     def __init__(self) -> None:
         self.trials = 0
         self.failures: list[Failure] = []
         self.worst = math.inf
 
-    def observe(self, witness: str, lhs: float, rhs: float) -> None:
+    def observe(self, witness: Callable[[], str], lhs: float, rhs: float) -> None:
         slack = lhs - rhs
         self.trials += 1
         self.worst = min(self.worst, slack)
         if not value_ge(lhs, rhs):
-            self.failures.append(Failure(witness, slack))
+            self.failures.append(Failure(witness(), slack))
 
-    def check(self, witness: str, ok: bool) -> None:
+    def check(self, witness: Callable[[], str], ok: bool) -> None:
         self.observe(witness, 0.0, 0.0 if ok else 1.0)
 
 
@@ -237,9 +232,9 @@ def check_theorem6(instance: Instance, gamma: int) -> CheckReport:
             factor = z  # analytic limit of (1/c)(1 - exp(-c z)) as c -> 0
         else:
             factor = (1.0 - math.exp(-c * z)) / c
-        fj = instance.value(run.prefix(j))
-        rec.observe(f"gamma={gamma} j={j}: f(G_j)={fj!r} bound={factor * opt!r}",
-                    fj, factor * opt)
+        fj, bound = instance.value(run.prefix(j)), factor * opt
+        rec.observe(lambda: f"gamma={gamma} j={j}: f(G_j)={fj!r} bound={bound!r}",
+                    fj, bound)
     return CheckReport("theorem6", rec.trials, tuple(rec.failures), rec.worst)
 
 
@@ -283,16 +278,16 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
         else:
             rhs = (c * sj / gamma) * (opt.value - sum_delta) \
                 + ((1.0 - c) * sj / denom1) * (opt.value - sum_chi_delta)
-            rec.observe(f"gamma={gamma} (i) j={j}: delta={delta!r} bound={rhs!r}",
-                        delta, rhs)
+            rec.observe(lambda: f"gamma={gamma} (i) j={j}: delta={delta!r} "
+                        f"bound={rhs!r}", delta, rhs)
 
         denom2 = gamma - (1.0 - c) * prefix_size
         if denom2 <= TOL:
             notes.append(f"skipped (ii) at j={j}: capacity exactly consumed")
         else:
             rhs = (sj / denom2) * (opt.value - sum_delta)
-            rec.observe(f"gamma={gamma} (ii) j={j}: delta={delta!r} bound={rhs!r}",
-                        delta, rhs)
+            rec.observe(lambda: f"gamma={gamma} (ii) j={j}: delta={delta!r} "
+                        f"bound={rhs!r}", delta, rhs)
 
         sum_delta += delta
         sum_chi_delta += chi[j - 1] * delta
@@ -325,12 +320,12 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
 
     def check_marginal_lower(a: frozenset, j: str) -> None:
         counts["marginal_lower"] += 1
-        rec.observe(f"marginal_lower A={sorted(a)} j={j}",
+        rec.observe(lambda: f"marginal_lower A={sorted(a)} j={j}",
                     value_of(a | {j}) - value_of(a), (1.0 - c) * value_of({j}))
 
     def check_disjoint_union(a: frozenset, b: frozenset) -> None:
         counts["disjoint_union"] += 1
-        rec.observe(f"disjoint_union A={sorted(a)} B={sorted(b)}",
+        rec.observe(lambda: f"disjoint_union A={sorted(a)} B={sorted(b)}",
                     value_of(a | b) - value_of(a),
                     (1.0 - c) * sum(value_of({i}) for i in sorted(b)))
 
@@ -338,7 +333,7 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
         counts["marginal_sum_upper"] += 1
         fa = value_of(a)
         bound = fa + sum(value_of(a | {u}) - fa for u in sorted(b - a))
-        rec.observe(f"marginal_sum_upper A={sorted(a)} B={sorted(b)}",
+        rec.observe(lambda: f"marginal_sum_upper A={sorted(a)} B={sorted(b)}",
                     bound, value_of(b))
 
     if n <= 8:
@@ -395,8 +390,7 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
     first larger item either leads the new order or is itself the agreedy
     answer there.
     """
-    _guard(instance)
-    caps = size_breakpoints(instance.items)
+    caps = breakpoints(instance)
     rec = _Recorder()
     notes = []
     flagged = 0
@@ -407,12 +401,12 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
         flagged += 1
         prefix_size = instance.total_size(res.greedy_prefix)
         rec.check(
-            f"{it.id}: nonempty prefix with s(item) > s(prefix) "
-            f"({it.size} > {prefix_size})",
+            lambda: f"{it.id}: nonempty prefix with s(item) > s(prefix) "
+                    f"({it.size} > {prefix_size})",
             len(res.greedy_prefix) >= 1 and it.size > prefix_size)
 
         interval = indispensability_interval(instance, it)
-        rec.check(f"{it.id}: interval starts at the item size",
+        rec.check(lambda: f"{it.id}: interval starts at the item size",
                   interval is not None and interval.gamma1 == it.size)
         if interval is None:
             continue
@@ -423,7 +417,7 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
             expected = interval.gamma1 <= cap < interval.gamma2
             actual = agreedy_override(instance, cap) == it.id
             rec.check(
-                f"{it.id}: agreedy override at gamma={cap} expected={expected}",
+                lambda: f"{it.id}: agreedy override at gamma={cap} expected={expected}",
                 actual == expected)
 
         cap = _head_change(instance, greedy_sequence(instance, interval.gamma1))
@@ -431,8 +425,8 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
             order = greedy_sequence(instance, cap).order
             larger = next((i for i in order if instance.size(i) > it.size), None)
             rec.check(
-                f"{it.id}: first larger item at order-change gamma={cap} "
-                f"leads or overrides ({larger})",
+                lambda: f"{it.id}: first larger item at order-change gamma={cap} "
+                        f"leads or overrides ({larger})",
                 larger is not None and (
                     larger == order[0]
                     or agreedy_override(instance, cap) == larger))

@@ -42,8 +42,9 @@ class GeneratorSpec:
             raise GenerationError(f"unknown generator kind {self.kind!r}")
         if self.n < 1 or (self.kind == "planted" and self.n < 2):
             raise GenerationError(f"n={self.n} too small for kind {self.kind!r}")
-        if self.size_max < 1:
-            raise GenerationError("size_max must be at least 1")
+        # planted draws weights up to 250 * size_max tenths as int64
+        if not 1 <= self.size_max <= 2 ** 53:
+            raise GenerationError(f"size_max must lie in [1, 2**53], got {self.size_max}")
         if self.elements is not None and self.elements < 1:
             raise GenerationError(f"elements must be at least 1, got {self.elements}")
         if not 0.0 <= self.cover_density <= 1.0:  # also refuses NaN

@@ -103,9 +103,11 @@ class DensityQueue:
         self._bound: dict[str, float] = {}
         self._stamp: dict[str, int] = {}
         self._value: dict[str, float] = {}
+        singletons = instance.cached(
+            "singletons", lambda: {i: oracle.evaluate((i,)) for i in instance.ids})
         for iid in self._live:
             # singleton densities are densities on the empty set
-            v = oracle.evaluate((iid,))
+            v = singletons[iid]
             self._bound[iid] = v / instance.size(iid)
             self._stamp[iid] = 0
             self._value[iid] = v

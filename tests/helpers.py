@@ -4,7 +4,8 @@ import bisect
 from itertools import combinations
 
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
-                          TableOracle, size_breakpoints, sorted_ids, value_gt)
+                          TableOracle, size_breakpoints, sorted_ids, value_gt,
+                          values_close)
 from subknap.generate import GeneratorSpec
 from subknap.greedy import greedy_sequence
 from subknap.policy import is_indispensable
@@ -202,6 +203,36 @@ def reference_policy(instance: Instance, gamma: int,
         "total_size": instance.total_size(packed),
         "query_count": queries,
     }
+
+
+def reference_subset_table(instance: Instance) -> tuple:
+    """(sorted ids, total size, value) for every subset, values through the
+    oracle memo, as the exhaustive optimum built its table before the table
+    became the one store of subset values."""
+    ids = list(instance.ids)
+    sizes = [instance.size(i) for i in ids]
+    value_of = instance.oracle.evaluate
+    rows = []
+    for mask in range(1 << len(ids)):
+        members = tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        total = sum(sizes[i] for i in range(len(ids)) if mask >> i & 1)
+        rows.append((members, total, value_of(members)))
+    return tuple(rows)
+
+
+def reference_opt(table: tuple, gamma: int) -> tuple:
+    """(items, value, total_size) of the optimum at gamma: one scan of a
+    reference_subset_table, value ties to the smallest id sequence."""
+    best_ids: tuple[str, ...] = ()
+    best_size = 0
+    best_value = 0.0
+    for members, total, value in table:
+        if total > gamma:
+            continue
+        if value_gt(value, best_value) or (
+                values_close(value, best_value) and members < best_ids):
+            best_ids, best_size, best_value = members, total, value
+    return frozenset(best_ids), best_value, best_size
 
 
 def reference_interval(instance: Instance, item_id: str) -> tuple[int, int] | None:

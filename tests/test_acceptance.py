@@ -205,7 +205,7 @@ def test_criterion_9_determinism_and_obliviousness(corpus):
     if t3 != t4:
         mismatched += 1
     for inst in samples:
-        caps = breakpoints(inst).capacities
+        caps = breakpoints(inst)
         for lo, hi in zip(caps, caps[1:]):
             if hi - 1 > lo:
                 trace_pairs += 1

@@ -81,8 +81,10 @@ def test_gen_concave_exponent_one_is_modular(tmp_path):
     (["--kind", "coverage", "--n", "4", "--density", "nan"], "density"),
     (["--kind", "coverage", "--n", "4", "--density", "-1"], "density"),
     (["--kind", "coverage", "--n", "4", "--density", "2"], "density"),
+    (["--kind", "planted", "--n", "4", "--size-max", "9007199254740993"],
+     "size_max"),
 ], ids=["n_1", "elements_0", "elements_negative", "density_nan",
-        "density_negative", "density_above_1"])
+        "density_negative", "density_above_1", "size_max_above_2_53"])
 def test_gen_bad_knobs_exit_2(knobs, named, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["gen", *knobs, "-o", str(out)]) == 2
@@ -273,6 +275,18 @@ def test_verify_bad_table_exit_1_with_witness(bad_table_file, capsys):
     out = capsys.readouterr().out
     assert "FAIL validate_oracle" in out
     assert "submodular violated" in out
+
+
+@pytest.mark.parametrize("n, extra", [(23, []), (4, ["--trials", "0"])],
+                         ids=["n_23", "trials_0"])
+def test_verify_refuses_before_printing(n, extra, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    save_instance(generate_instance(GeneratorSpec("modular", n=n)), path)
+    assert main(["verify", "-i", str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_verify_missing_file_exit_2(tmp_path):

@@ -2,17 +2,20 @@
 of the reference loops in helpers.py, on the whole corpus at every
 breakpoint and on one n=100 coverage instance past the exhaustive guard.
 Generated near ties (repeated densities, zero gains, tables within TOL of
-submodular) check that lazy selection keeps the scan's tie-breaks."""
+submodular) check that lazy selection keeps the scan's tie-breaks.  Exhaustive
+optima equal the reference scan at every capacity."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_greedy, reference_interval, reference_policy,
-                     reference_start_list)
+from helpers import (reference_greedy, reference_interval, reference_opt,
+                     reference_policy, reference_start_list,
+                     reference_subset_table)
 from subknap.core import (TOL, CoverageOracle, Instance, Item, ModularOracle,
-                          OracleValidationError, TableOracle)
-from subknap.exact import breakpoints
+                          OracleValidationError, TableOracle, instance_from_dict,
+                          instance_to_dict, normalize_instance)
+from subknap.exact import breakpoints, brute_force_opt
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
 from subknap.policy import (execute_policy, indispensability_interval,
@@ -180,3 +183,58 @@ def test_interval_ends_at_head_change_past_a_subset_sum():
         ModularOracle({"a": 3.0, "b": 7.5, "c": 13.2, "e": 0.1}))
     assert reference_interval(instance, "b") == (10, 12)
     _assert_intervals_match_reference(instance)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive optimum, cached per capacity over a table of values from
+# the oracle's uncached value function, against one scan per capacity over
+# a table built through the memo; every capacity, breakpoint or not
+
+def _assert_opt_matches_reference(instance) -> None:
+    table = reference_subset_table(instance)
+    for gamma in range(1, sum(it.size for it in instance.items) + 2):
+        opt = brute_force_opt(instance, gamma)
+        assert (opt.items, opt.value, opt.total_size) \
+            == reference_opt(table, gamma), gamma
+
+
+def _saturated_near_tie_coverage() -> Instance:
+    """Generated coverage n=12 over eight elements whose weights differ by
+    0.3 TOL steps: 716 subsets cover every element and tie exactly, and at
+    14 of the 74 capacities the best values tie within TOL without being
+    equal."""
+    data = instance_to_dict(generate_instance(GeneratorSpec(
+        "coverage", n=12, seed=0, elements=8, cover_density=0.3)))
+    data["objective"]["elements"] = {
+        e: 1.0 + k * 0.3 * TOL
+        for k, e in enumerate(sorted(data["objective"]["elements"]))}
+    return instance_from_dict(data)
+
+
+def _all_items_normalize_away() -> Instance:
+    instance = normalize_instance(Instance(
+        (Item("a", 1), Item("b", 2)),
+        CoverageOracle({"x": 0.0}, {"a": ["x"], "b": ["x"]})))
+    assert instance.n == 0
+    return instance
+
+
+def test_corpus_opt_matches_reference_at_every_capacity(corpus):
+    for _, instance in corpus:
+        _assert_opt_matches_reference(instance)
+
+
+_GENERATED = [(kind, n) for kind in ("modular", "coverage", "concave_modular")
+              for n in (12, 14)]
+
+
+@pytest.mark.parametrize("kind, n", _GENERATED,
+                         ids=[f"{kind}-n{n}" for kind, n in _GENERATED])
+def test_generated_opt_matches_reference_at_every_capacity(kind, n):
+    _assert_opt_matches_reference(
+        generate_instance(GeneratorSpec(kind, n=n, seed=0)))
+
+
+def test_near_tie_and_empty_opt_match_reference_at_every_capacity():
+    _assert_opt_matches_reference(_saturated_near_tie_coverage())
+    _assert_opt_matches_reference(_all_items_normalize_away())

@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
 import pytest
 
-from helpers import (enumerate_opt, ex1, ex2, ex3, sneaky_bad_table,
-                     superadditive_table)
+from helpers import (corpus_specs, enumerate_opt, ex1, ex2, ex3,
+                     sneaky_bad_table, superadditive_table)
+from subknap import core, exact
+from subknap.cli import main
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
-                          OracleValidationError, TableOracle, curvature,
-                          instance_from_dict, instance_to_dict)
+                          OracleValidationError, TableOracle, ValueOracle,
+                          curvature, instance_from_dict, instance_to_dict,
+                          save_instance)
 from subknap.exact import (GuardError, breakpoints, brute_force_opt,
                            check_curvature_lemma, check_indispensable_properties,
                            check_lemma2, check_theorem6, robustness_sweep)
@@ -48,6 +52,44 @@ def test_brute_force_opt_matches_independent_enumeration():
             assert got.total_size <= gamma
 
 
+def test_fresh_opt_builds_its_table_without_evaluate(monkeypatch):
+    inst = generate_instance(GeneratorSpec("coverage", n=12, seed=0))
+    calls = 0
+    evaluate = ValueOracle.evaluate
+
+    def counting(self, ids):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, ids)
+
+    monkeypatch.setattr(ValueOracle, "evaluate", counting)
+    brute_force_opt(inst, sum(it.size for it in inst.items) // 2)
+    assert calls == 0
+
+
+def test_verify_computes_curvature_once_and_scans_once_per_breakpoint(
+        monkeypatch, tmp_path):
+    spec = next(s for s in corpus_specs() if s.kind == "planted" and s.seed == 6)
+    path = tmp_path / "planted-6.json"
+    save_instance(generate_instance(spec), path)
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(core, "_curvature")
+    count(exact, "_scan_opt")
+    assert main(["verify", "-i", str(path)]) == 0
+    assert calls == {"_curvature": 1,
+                     "_scan_opt": len(breakpoints(generate_instance(spec)))}
+
+
 def test_exhaustive_guard_rejects_large_instances():
     ids = [f"i{k:02d}" for k in range(23)]
     inst = Instance(tuple(Item(i, 1) for i in ids),
@@ -61,12 +103,12 @@ def test_exhaustive_guard_rejects_large_instances():
 
 
 def test_breakpoints_values():
-    assert breakpoints(ex1()).capacities == (1, 2, 3)
+    assert breakpoints(ex1()) == (1, 2, 3)
     two_ones = Instance((Item("a", 1), Item("b", 1)),
                         ModularOracle({"a": 1.0, "b": 1.0}))
-    assert breakpoints(two_ones).capacities == (1, 2)
+    assert breakpoints(two_ones) == (1, 2)
     single = Instance((Item("a", 5),), ModularOracle({"a": 1.0}))
-    assert breakpoints(single).capacities == (5,)
+    assert breakpoints(single) == (5,)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +170,7 @@ def test_sweep_csv_shape():
 
 def test_algorithms_constant_between_breakpoints():
     inst = generate_instance(GeneratorSpec("planted", n=6, size_max=6, seed=9))
-    caps = breakpoints(inst).capacities
+    caps = breakpoints(inst)
     for lo, hi in zip(caps, caps[1:]):
         if hi - 1 == lo:
             continue
