@@ -11,9 +11,9 @@ import math
 import sys
 
 from . import bounds, exact
-from .core import (ConfigurationError, Instance, OracleValidationError,
-                   check_capacity, load_instance, normalize_instance,
-                   save_instance, sorted_ids, validate_oracle, value_ge, value_gt)
+from .core import (ConfigurationError, OracleValidationError, check_capacity,
+                   curvature, load_instance, normalize_instance, save_instance,
+                   sorted_ids, validate_oracle, value_ge, value_gt)
 from .generate import KINDS, GenerationError, GeneratorSpec, generate_instance
 from .greedy import Solution, agreedy, mgreedy
 from .policy import execute_policy, make_fit_oracle
@@ -68,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> Instance:
-    instance = load_instance(path)
-    return normalize_instance(instance)
-
-
 def _print_solution(solution: Solution) -> None:
     print("items:", " ".join(sorted_ids(solution.items)) or "(empty)")
     print(f"value: {solution.value!r}")
@@ -90,7 +85,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    instance = _load(args.instance)
+    instance = normalize_instance(load_instance(args.instance))
     check_capacity(args.gamma)
     if args.alg == "opt":
         _print_solution(exact.brute_force_opt(instance, args.gamma))
@@ -109,7 +104,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    instance = _load(args.instance)
+    instance = normalize_instance(load_instance(args.instance))
     report = exact.robustness_sweep(instance)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
@@ -154,8 +149,12 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _load(args.instance)
-    caps = exact.breakpoints(instance)  # refuse before any outcome is printed
+    instance = load_instance(args.instance)
+    report = validate_oracle(instance, seed=args.seed)
+    if report.ok:  # refuse before any outcome is printed
+        instance = normalize_instance(instance)
+        caps = exact.breakpoints(instance)
+        curvature(instance)
     if args.trials < 1:
         raise ConfigurationError("--trials must be at least 1")
     failed = False
@@ -168,7 +167,6 @@ def _cmd_verify(args) -> int:
             failed = True
             print(f"FAIL {name}: {detail}")
 
-    report = validate_oracle(instance, seed=args.seed)
     outcome("validate_oracle",
             report.ok,
             f"(mode={report.mode})" if report.ok else str(report.first_violation))

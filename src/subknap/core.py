@@ -17,8 +17,10 @@ from typing import Iterable, Mapping
 
 TOL = 1e-9
 
-#: validation switches from exhaustive to sampled above this item count
+#: validation is exhaustive up to this many items and for every table;
+#: above it, it takes VALIDATE_SAMPLES seeded samples per condition
 MAX_VALIDATE_EXHAUSTIVE = 12
+VALIDATE_SAMPLES = 2000
 
 
 class ConfigurationError(ValueError):
@@ -107,6 +109,7 @@ class ValueOracle:
     """
 
     kind = "abstract"
+    needs_validation = False  # parametric families are valid by construction
 
     def __init__(self, domain: Iterable[str]):
         self._domain = frozenset(domain)
@@ -151,13 +154,6 @@ class ValueOracle:
     def restrict(self, ids: Iterable[str]) -> "ValueOracle":
         """Oracle over a subset of the domain (used by normalize_instance)."""
         raise NotImplementedError
-
-    def ensure_usable(self) -> None:
-        """Refuse use in algorithms if the oracle is not a valid objective.
-
-        Parametric families are valid by construction; table oracles are
-        checked exhaustively on first use.
-        """
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -266,10 +262,11 @@ class TableOracle(ValueOracle):
 
     The table must cover all 2^n subsets with value 0 on the empty set.
     A table is not required to be submodular at construction time, but
-    algorithm entry points refuse a table that fails validation.
+    normalization and the algorithms refuse a table that fails validation.
     """
 
     kind = "table"
+    needs_validation = True
 
     MAX_ITEMS = 16  # completeness check enumerates 2^n subsets
 
@@ -294,10 +291,9 @@ class TableOracle(ValueOracle):
         super().__init__(domain)
         self._addends = 1
         self._table = table
-        # ensure_usable accepts a pairwise submodularity violation up to TOL
+        # validation accepts a pairwise submodularity violation up to TOL
         # times the larger of 1 and two compared sums of two values
         self._accepted_violation = 2 * TOL * max(1.0, *map(abs, table.values()))
-        self._usable: bool | None = None
 
     @staticmethod
     def _parse_key(key) -> frozenset[str]:
@@ -314,18 +310,9 @@ class TableOracle(ValueOracle):
         return TableOracle(kept)
 
     def gain_drift(self, steps: int) -> float:
-        # a gain may grow by each violation ensure_usable accepts, once with
+        # a gain may grow by each violation validation accepts, once with
         # each item added to its base set
         return (steps + 1) * (super().gain_drift(steps) + self._accepted_violation)
-
-    def ensure_usable(self) -> None:
-        if self._usable is None:
-            report = _scan_oracle(self, sorted(self._domain), exhaustive=True)
-            self._usable = report.ok
-            self._first_violation = report.first_violation
-        if not self._usable:
-            raise OracleValidationError(
-                f"table oracle refused: {self._first_violation}")
 
     def to_dict(self) -> dict:
         values = {",".join(sorted(s)): v for s, v in self._table.items()}
@@ -379,9 +366,9 @@ class Instance:
         """Result of build() memoized on this instance under key.
 
         Instances and their oracles are immutable, so what is derived from
-        them is computed once per instance: greedy orders, the start list,
-        singleton values, the subset table (the memo keeps no copy of it),
-        breakpoints, curvature and the optimum per capacity.
+        them is computed once per instance: the validation verdict, greedy
+        orders, the start list, singletons, the subset table (the memo keeps
+        no copy of it), breakpoints, curvature and the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -456,19 +443,11 @@ def _subsets(ids: list[str]):
 
 
 def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
-                 seed: int = 0, samples: int = 2000) -> ValidationReport:
-    first: Violation | None = None
-    normalized = monotone = submodular = True
-
-    def record(v: Violation) -> None:
-        nonlocal first
-        if first is None:
-            first = v
-
+                 seed: int = 0) -> ValidationReport:
+    found: list[Violation] = []  # at most one per condition, in check order
     empty = oracle.evaluate(())
     if not values_close(empty, 0.0):
-        normalized = False
-        record(Violation("normalized", (), (), abs(empty)))
+        found.append(Violation("normalized", (), (), abs(empty)))
 
     if exhaustive:
         mono_cases = ((a, u) for a in _subsets(ids) for u in ids if u not in a)
@@ -478,13 +457,13 @@ def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
         rng = random.Random(seed)
 
         def _mono_sample():
-            for _ in range(samples):
+            for _ in range(VALIDATE_SAMPLES):
                 u = rng.choice(ids)
                 a = frozenset(i for i in ids if i != u and rng.random() < 0.5)
                 yield a, u
 
         def _sub_sample():
-            for _ in range(samples):
+            for _ in range(VALIDATE_SAMPLES):
                 u1, u2 = rng.sample(ids, 2)
                 a = frozenset(i for i in ids if i not in (u1, u2) and rng.random() < 0.5)
                 yield a, min(u1, u2), max(u1, u2)
@@ -495,8 +474,7 @@ def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
     for a, u in mono_cases:
         before, after = oracle.evaluate(a), oracle.evaluate(a | {u})
         if value_gt(before, after):
-            monotone = False
-            record(Violation("monotone", sorted_ids(a), (u,), before - after))
+            found.append(Violation("monotone", sorted_ids(a), (u,), before - after))
             break
 
     # pairwise diminishing-returns condition on every set and item pair
@@ -504,32 +482,49 @@ def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
         lhs = oracle.evaluate(a | {u1}) + oracle.evaluate(a | {u2})
         rhs = oracle.evaluate(a | {u1, u2}) + oracle.evaluate(a)
         if value_gt(rhs, lhs):
-            submodular = False
-            record(Violation("submodular", sorted_ids(a), (u1, u2), rhs - lhs))
+            found.append(Violation("submodular", sorted_ids(a), (u1, u2), rhs - lhs))
             break
 
-    return ValidationReport(normalized, monotone, submodular, first,
+    failed = {v.kind for v in found}
+    return ValidationReport("normalized" not in failed, "monotone" not in failed,
+                            "submodular" not in failed, found[0] if found else None,
                             "exhaustive" if exhaustive else "sampled")
 
 
 def validate_oracle(instance: Instance, seed: int = 0) -> ValidationReport:
     """Check normalization, monotonicity, and submodularity.
 
-    Exhaustive for n <= 12; larger instances are spot-checked with seeded
-    random samples and the report's mode flags this.
+    Exhaustive for n <= 12 and for every table (at most 16 items), and then
+    computed once per instance; larger instances are spot-checked with
+    seeded random samples and the report's mode flags this.
     """
-    ids = list(instance.ids)
-    return _scan_oracle(instance.oracle, ids,
-                        exhaustive=len(ids) <= MAX_VALIDATE_EXHAUSTIVE, seed=seed)
+    ids, oracle = list(instance.ids), instance.oracle
+    if len(ids) <= MAX_VALIDATE_EXHAUSTIVE or oracle.needs_validation:
+        return instance.cached("validation",
+                               lambda: _scan_oracle(oracle, ids, exhaustive=True))
+    return _scan_oracle(oracle, ids, exhaustive=False, seed=seed)
+
+
+def check_oracle(instance: Instance) -> None:
+    """Refuse an instance whose oracle class needs validation and fails it."""
+    if instance.oracle.needs_validation:
+        report = validate_oracle(instance)
+        if not report.ok:
+            raise OracleValidationError(f"table oracle refused: {report.first_violation}")
 
 
 def normalize_instance(instance: Instance) -> Instance:
-    """Drop items whose singleton value is zero; they never change the objective."""
+    """Drop items whose singleton value is zero; they never change a valid
+    objective, so an invalid one is refused first."""
+    check_oracle(instance)
     keep = [it for it in instance.items
             if not values_close(instance.oracle.evaluate({it.id}), 0.0)]
     if len(keep) == len(instance.items):
         return instance
-    return Instance(tuple(keep), instance.oracle.restrict(it.id for it in keep))
+    normalized = Instance(tuple(keep), instance.oracle.restrict(it.id for it in keep))
+    if instance.oracle.needs_validation:  # restricting keeps a valid table valid
+        normalized.cached("validation", lambda: validate_oracle(instance))
+    return normalized
 
 
 def curvature(instance: Instance) -> float:

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import bounds
-from .core import (Instance, TOL, check_capacity, curvature, instance_digest,
-                   size_breakpoints, sorted_ids, value_ge, value_gt, values_close)
+from .core import (Instance, TOL, check_capacity, check_oracle, curvature,
+                   instance_digest, size_breakpoints, sorted_ids, value_ge,
+                   value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
 
 MAX_EXHAUSTIVE_ITEMS = 22
+MAX_CURVATURE_EXHAUSTIVE = 8
 
 
 class GuardError(RuntimeError):
@@ -56,7 +58,7 @@ def brute_force_opt(instance: Instance, gamma: int) -> Solution:
     lexicographically smallest id sequence; one scan per capacity."""
     _guard(instance)
     gamma = check_capacity(gamma)
-    instance.oracle.ensure_usable()
+    check_oracle(instance)
     return instance.cached(("opt", gamma), lambda: _scan_opt(instance, gamma))
 
 
@@ -303,8 +305,8 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
                           seed: int = 0) -> CheckReport:
     """Curvature bounds on marginals plus the marginal-sum upper bound.
 
-    Exhaustive over all qualifying set pairs for n <= 8, seeded random
-    samples otherwise.  Three families are checked:
+    Exhaustive over all qualifying set pairs for n <= MAX_CURVATURE_EXHAUSTIVE,
+    seeded random samples otherwise.  Three families are checked:
       marginal_lower:      (1-c) f({j}) <= f(A + j) - f(A)
       disjoint_union:      f(A + B) >= f(A) + (1-c) sum of f({i}), i in B
       marginal_sum_upper:  f(B) <= f(A) + sum of marginals of B - A on A
@@ -336,7 +338,7 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
         rec.observe(lambda: f"marginal_sum_upper A={sorted(a)} B={sorted(b)}",
                     bound, value_of(b))
 
-    if n <= 8:
+    if n <= MAX_CURVATURE_EXHAUSTIVE:
         for mask in range(1 << n):
             a = frozenset(ids[i] for i in range(n) if mask >> i & 1)
             for j in ids:

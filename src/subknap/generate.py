@@ -52,11 +52,15 @@ class GeneratorSpec:
                 f"cover density must be a finite number in [0, 1], "
                 f"got {self.cover_density!r}")
 
+    @property
+    def element_count(self) -> int:  # coverage: elements, by default max(2, n)
+        return self.elements or max(2, self.n)
+
     def header(self) -> dict:
         h = {"algorithm": GENERATOR_ALGORITHM, "kind": self.kind,
              "n": self.n, "size_max": self.size_max, "seed": self.seed}
         if self.kind == "coverage":
-            h["elements"] = self.elements or max(2, self.n)
+            h["elements"] = self.element_count
             h["cover_density"] = self.cover_density
         if self.kind == "concave_modular":
             h["exponent"] = self.exponent
@@ -89,7 +93,7 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
 
     if spec.kind == "coverage":
         ids = _ids(spec.n)
-        m = spec.elements or max(2, spec.n)
+        m = spec.element_count
         elements = [f"e{k:02d}" for k in range(m)]
         weights = {e: int(rng.integers(1, 101)) / 10.0 for e in elements}
         covers = {}

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Instance, check_capacity, value_ge, value_gt
+from .core import Instance, check_capacity, check_oracle, value_ge, value_gt
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class DensityQueue:
     """
 
     def __init__(self, instance: Instance, candidates: Iterable[str]):
+        check_oracle(instance)  # the bounds rely on a valid objective
         oracle = instance.oracle
-        oracle.ensure_usable()  # the bounds rely on a validated oracle
         self._instance = instance
         self.packed: frozenset[str] = frozenset()
         self.packed_value = 0.0
@@ -198,10 +198,10 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     position k+1, when present, is the first one to overflow.  The order
     depends on gamma only through the eligible items, so it is computed once
     per instance and eligible-size threshold (the largest item size <= gamma)
-    and shared by every capacity with that threshold.
+    and shared by every capacity with that threshold; building an order
+    (DensityQueue) refuses an invalid table.
     """
     gamma = check_capacity(gamma)
-    instance.oracle.ensure_usable()
     threshold = max((it.size for it in instance.items if it.size <= gamma),
                     default=0)
     order, marginals, prefix_sizes = instance.cached(

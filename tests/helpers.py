@@ -45,6 +45,13 @@ def superadditive_table() -> dict:
     return {"": 0.0, "a": 1.0, "b": 1.0, "a,b": 3.0}
 
 
+def zero_item_supermodular() -> Instance:
+    """Supermodular table whose item a is worth 0 alone but 1 next to b, so
+    dropping a as a zero-valued item would lose the optimum {a, b}."""
+    return Instance((Item("a", 1), Item("b", 2)),
+                    TableOracle({"": 0.0, "a": 0.0, "b": 1.0, "a,b": 2.0}))
+
+
 def sneaky_bad_table() -> TableOracle:
     """Non-submodular table whose curvature formula still lands in [0, 1].
 

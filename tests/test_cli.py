@@ -3,11 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import ex1, ex3, superadditive_table
+from helpers import ex1, ex3, superadditive_table, zero_item_supermodular
+from subknap import core
 from subknap.cli import main
-from subknap.core import (Instance, Item, ModularOracle, TableOracle,
-                          curvature, instance_from_dict, instance_to_dict,
-                          load_instance, save_instance)
+from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
+                          TableOracle, curvature, instance_from_dict,
+                          instance_to_dict, load_instance, save_instance)
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.policy import start_item_list
 
@@ -291,3 +292,74 @@ def test_verify_refuses_before_printing(n, extra, tmp_path, capsys):
 
 def test_verify_missing_file_exit_2(tmp_path):
     assert main(["verify", "-i", str(tmp_path / "missing.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one validation verdict per instance, given before normalisation
+
+def _saved(instance: Instance, tmp_path) -> str:
+    path = tmp_path / "x.json"
+    save_instance(instance, path)
+    return str(path)
+
+
+def _thirteen_item_table() -> Instance:
+    """Unit-weight modular table on i00..i12 with f({i00}) raised to 1.5:
+    sampled validation misses the violation, an exhaustive scan finds it."""
+    ids = [f"i{k:02d}" for k in range(13)]
+    values = {",".join(s): float(len(s)) for r in range(14) for s in combinations(ids, r)}
+    values["i00"] = 1.5
+    return Instance(tuple(Item(i, 1 + k % 3) for k, i in enumerate(ids)),
+                    TableOracle(values))
+
+
+def test_verify_judges_table_before_normalising(tmp_path, capsys):
+    assert main(["verify", "-i", _saved(zero_item_supermodular(), tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL validate_oracle: submodular violated at A=[] items=['a', 'b'] slack=1",
+        "oracle invalid; algorithm checks skipped"]
+
+
+@pytest.mark.parametrize("command", [["eval", "--alg", "opt", "--gamma", "3"],
+                                     ["sweep", "-o", "out.csv"]], ids=["eval", "sweep"])
+def test_eval_and_sweep_refuse_table_before_normalising(command, tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _saved(zero_item_supermodular(), tmp_path)
+    assert main([command[0], "-i", path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table oracle refused: submodular violated")
+
+
+def test_verify_gives_a_larger_table_one_verdict(tmp_path, capsys):
+    assert main(["verify", "-i", _saved(_thirteen_item_table(), tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL validate_oracle: submodular violated at A=['i00'] items=['i01', 'i02'] "
+        "slack=0.5",
+        "oracle invalid; algorithm checks skipped"]
+
+
+@pytest.mark.parametrize("zero_item", [False, True], ids=["all_positive", "zero_item"])
+def test_verify_scans_a_valid_table_once(zero_item, tmp_path, monkeypatch):
+    base = generate_instance(GeneratorSpec("coverage", n=4, seed=3))
+    items = base.items + ((Item("z", 1),) if zero_item else ())
+    ids = [it.id for it in items]
+    values = {",".join(s): base.value(set(s) - {"z"})
+              for r in range(len(ids) + 1) for s in combinations(ids, r)}
+    path = _saved(Instance(items, TableOracle(values)), tmp_path)
+    scans = []
+    scan = core._scan_oracle
+    monkeypatch.setattr(core, "_scan_oracle",
+                        lambda *args, **kw: scans.append(args) or scan(*args, **kw))
+    assert main(["verify", "-i", path, "--trials", "50"]) == 0
+    assert len(scans) == 1
+
+
+def test_verify_refuses_instance_that_normalises_to_nothing(tmp_path, capsys):
+    inst = Instance((Item("a", 1), Item("b", 2)),
+                    CoverageOracle({"e": 0.0}, {"a": ["e"], "b": ["e"]}))
+    assert main(["verify", "-i", _saved(inst, tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: curvature requires at least one item"]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import ex1, ex2, ex3, superadditive_table
+from helpers import ex1, ex2, ex3, superadditive_table, zero_item_supermodular
 from subknap.core import (ConfigurationError, Instance, Item,
                           ModularOracle, OracleValidationError, TableOracle,
                           curvature, evaluate, instance_digest,
@@ -176,6 +176,12 @@ def test_normalize_identity_when_all_positive():
 def test_normalize_all_zero_gives_empty_instance():
     inst = Instance((Item("a", 1),), ModularOracle({"a": 0.0}))
     assert normalize_instance(inst).items == ()
+
+
+def test_normalize_refuses_invalid_table_before_dropping():
+    with pytest.raises(OracleValidationError, match="table oracle refused: "
+                       r"submodular violated at A=\[\] items=\['a', 'b'\]"):
+        normalize_instance(zero_item_supermodular())
 
 
 def test_generated_instances_need_no_normalization():

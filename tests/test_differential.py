@@ -13,8 +13,8 @@ from helpers import (reference_greedy, reference_interval, reference_opt,
                      reference_policy, reference_start_list,
                      reference_subset_table)
 from subknap.core import (TOL, CoverageOracle, Instance, Item, ModularOracle,
-                          OracleValidationError, TableOracle, instance_from_dict,
-                          instance_to_dict, normalize_instance)
+                          OracleValidationError, TableOracle, check_oracle,
+                          instance_from_dict, instance_to_dict, normalize_instance)
 from subknap.exact import breakpoints, brute_force_opt
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
@@ -80,7 +80,7 @@ def _saturating_coverage(draw):
 def _perturbed_table(draw):
     """A modular or saturating coverage function on up to 5 items, each
     nonempty subset value moved by up to 0.45 TOL, kept only if the table
-    still passes ensure_usable."""
+    still passes check_oracle."""
     base = draw(_modular_duplicate_ratios() | _saturating_coverage())
     ids = sorted(it.id for it in base.items)[:5]
     steps = draw(st.lists(st.integers(-45, 45), min_size=2 ** len(ids),
@@ -93,7 +93,7 @@ def _perturbed_table(draw):
     instance = Instance(tuple(it for it in base.items if it.id in ids),
                         TableOracle(values))
     try:
-        instance.oracle.ensure_usable()
+        check_oracle(instance)
     except OracleValidationError:
         assume(False)
     return instance
