@@ -12,8 +12,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping
+from functools import reduce
+from itertools import combinations, compress
+from operator import add
+from typing import Callable, Iterable, Mapping
 
 TOL = 1e-9
 
@@ -21,6 +23,9 @@ TOL = 1e-9
 #: above it, it takes VALIDATE_SAMPLES seeded samples per condition
 MAX_VALIDATE_EXHAUSTIVE = 12
 VALIDATE_SAMPLES = 2000
+
+#: the digits of bin() as the bytes 0 and 1, which compress() reads as flags
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class ConfigurationError(ValueError):
@@ -45,6 +50,11 @@ def value_gt(a: float, b: float) -> bool:
 
 def value_ge(a: float, b: float) -> bool:
     return a >= b or values_close(a, b)
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """Float sum in iteration order, as sum() was before 3.12 compensated it."""
+    return reduce(add, terms, 0.0)
 
 
 def sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
@@ -181,7 +191,7 @@ class ModularOracle(ValueOracle):
         self._weights = dict(weights)
 
     def _value(self, s: frozenset[str]) -> float:
-        return float(sum(self._weights[i] for i in sorted(s)))
+        return left_sum(self._weights[i] for i in sorted(s))
 
     def restrict(self, ids: Iterable[str]) -> "ModularOracle":
         keep = frozenset(ids)
@@ -212,7 +222,7 @@ class CoverageOracle(ValueOracle):
         covered = set()
         for i in s:
             covered.update(self._covers[i])
-        return float(sum(self._element_weights[e] for e in sorted(covered)))
+        return left_sum(self._element_weights[e] for e in sorted(covered))
 
     def restrict(self, ids: Iterable[str]) -> "CoverageOracle":
         keep = frozenset(ids)
@@ -241,8 +251,7 @@ class ConcaveModularOracle(ValueOracle):
         self._exponent = float(exponent)
 
     def _value(self, s: frozenset[str]) -> float:
-        total = float(sum(self._weights[i] for i in sorted(s)))
-        return total ** self._exponent
+        return left_sum(self._weights[i] for i in sorted(s)) ** self._exponent
 
     def restrict(self, ids: Iterable[str]) -> "ConcaveModularOracle":
         keep = frozenset(ids)
@@ -360,6 +369,7 @@ class Instance:
                 "oracle domain must match instance items exactly; "
                 f"instance={sorted(ids)} oracle={sorted(self.oracle.domain)}")
         object.__setattr__(self, "_by_id", {it.id: it for it in self.items})
+        object.__setattr__(self, "ids", sorted_ids(ids))
         object.__setattr__(self, "_cache", {})
 
     def cached(self, key, build):
@@ -367,8 +377,9 @@ class Instance:
 
         Instances and their oracles are immutable, so what is derived from
         them is computed once per instance: the validation verdict, greedy
-        orders, the start list, singletons, the subset table (the memo keeps
-        no copy of it), breakpoints, curvature and the optimum per capacity.
+        orders, the start list, singletons, the subset table (every subset's
+        value, read in place of the memo; see subset_values), breakpoints,
+        curvature and the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -378,9 +389,11 @@ class Instance:
     def n(self) -> int:
         return len(self.items)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return sorted_ids(self._by_id)
+    def subset(self, mask: int) -> tuple[str, ...]:
+        """Ascending ids of the subset named by a bitmask over the ascending
+        ids: bit i set means ids[i] is a member."""
+        # bin() lists the bits from the highest: reversed without "0b", digit i is bit i
+        return tuple(compress(self.ids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
     def item(self, item_id: str) -> Item:
         return self._by_id[item_id]
@@ -406,6 +419,33 @@ def size_breakpoints(items: Iterable[Item]) -> tuple[int, ...]:
         sums |= {s + it.size for s in sums}
     sums.discard(0)
     return tuple(sorted(sums))
+
+
+def subset_table(instance: Instance) -> tuple[list[float], list[int]]:
+    """The value and the total size of every subset, indexed by bitmask (see
+    Instance.subset); built once per instance from the oracle's uncached
+    value function, so the memo keeps no copy of it."""
+    def build():
+        sizes = [0]
+        for size in map(instance.size, instance.ids):
+            sizes += [total + size for total in sizes]
+        return [instance.oracle._value(frozenset(instance.subset(m)))
+                for m in range(len(sizes))], sizes
+    return instance.cached("subset_table", build)
+
+
+def _checks_every_subset(instance: Instance) -> bool:
+    """Whether validation is exhaustive: for n <= 12 and every table."""
+    return instance.n <= MAX_VALIDATE_EXHAUSTIVE or instance.oracle.needs_validation
+
+
+def subset_values(instance: Instance) -> Callable[[int], float]:
+    """f of a subset named by bitmask.  It reads the subset table where
+    validation checks every subset; elsewhere it asks the oracle, so a
+    sampled check values only the subsets it draws."""
+    if _checks_every_subset(instance):
+        return subset_table(instance)[0].__getitem__
+    return lambda mask: instance.oracle.evaluate(instance.subset(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -436,53 +476,47 @@ class ValidationReport:
         return self.normalized and self.monotone and self.submodular
 
 
-def _subsets(ids: list[str]):
-    n = len(ids)
-    for mask in range(1 << n):
-        yield frozenset(ids[i] for i in range(n) if mask >> i & 1)
-
-
-def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
-                 seed: int = 0) -> ValidationReport:
+def _scan_oracle(instance: Instance, exhaustive: bool, seed: int = 0) -> ValidationReport:
+    # subsets and items are bitmasks over instance.ids, an item one bit
+    n, value, subset = instance.n, subset_values(instance), instance.subset
     found: list[Violation] = []  # at most one per condition, in check order
-    empty = oracle.evaluate(())
+    empty = value(0)
     if not values_close(empty, 0.0):
         found.append(Violation("normalized", (), (), abs(empty)))
 
     if exhaustive:
-        mono_cases = ((a, u) for a in _subsets(ids) for u in ids if u not in a)
-        sub_cases = ((a, u1, u2) for a in _subsets(ids)
-                     for u1, u2 in combinations([i for i in ids if i not in a], 2))
+        mono_cases = ((a, 1 << i) for a in range(1 << n) for i in range(n) if not a >> i & 1)
+        sub_cases = ((a, 1 << i, 1 << j) for a in range(1 << n)
+                     for i, j in combinations([k for k in range(n) if not a >> k & 1], 2))
     else:
         rng = random.Random(seed)
 
         def _mono_sample():
             for _ in range(VALIDATE_SAMPLES):
-                u = rng.choice(ids)
-                a = frozenset(i for i in ids if i != u and rng.random() < 0.5)
-                yield a, u
+                u = rng.choice(range(n))
+                yield sum(1 << i for i in range(n) if i != u and rng.random() < 0.5), 1 << u
 
         def _sub_sample():
             for _ in range(VALIDATE_SAMPLES):
-                u1, u2 = rng.sample(ids, 2)
-                a = frozenset(i for i in ids if i not in (u1, u2) and rng.random() < 0.5)
-                yield a, min(u1, u2), max(u1, u2)
+                u1, u2 = rng.sample(range(n), 2)
+                a = sum(1 << i for i in range(n) if i not in (u1, u2) and rng.random() < 0.5)
+                yield a, 1 << min(u1, u2), 1 << max(u1, u2)
 
         mono_cases = _mono_sample()
         sub_cases = _sub_sample()
 
     for a, u in mono_cases:
-        before, after = oracle.evaluate(a), oracle.evaluate(a | {u})
+        before, after = value(a), value(a | u)
         if value_gt(before, after):
-            found.append(Violation("monotone", sorted_ids(a), (u,), before - after))
+            found.append(Violation("monotone", subset(a), subset(u), before - after))
             break
 
     # pairwise diminishing-returns condition on every set and item pair
     for a, u1, u2 in sub_cases:
-        lhs = oracle.evaluate(a | {u1}) + oracle.evaluate(a | {u2})
-        rhs = oracle.evaluate(a | {u1, u2}) + oracle.evaluate(a)
+        lhs = value(a | u1) + value(a | u2)
+        rhs = value(a | u1 | u2) + value(a)
         if value_gt(rhs, lhs):
-            found.append(Violation("submodular", sorted_ids(a), (u1, u2), rhs - lhs))
+            found.append(Violation("submodular", subset(a), subset(u1 | u2), rhs - lhs))
             break
 
     failed = {v.kind for v in found}
@@ -494,15 +528,15 @@ def _scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
 def validate_oracle(instance: Instance, seed: int = 0) -> ValidationReport:
     """Check normalization, monotonicity, and submodularity.
 
-    Exhaustive for n <= 12 and for every table (at most 16 items), and then
-    computed once per instance; larger instances are spot-checked with
-    seeded random samples and the report's mode flags this.
+    Exhaustive over the subset table for n <= 12 and for every table (at
+    most 16 items), and then computed once per instance; larger instances
+    are spot-checked with seeded random samples and the report's mode flags
+    this.
     """
-    ids, oracle = list(instance.ids), instance.oracle
-    if len(ids) <= MAX_VALIDATE_EXHAUSTIVE or oracle.needs_validation:
+    if _checks_every_subset(instance):
         return instance.cached("validation",
-                               lambda: _scan_oracle(oracle, ids, exhaustive=True))
-    return _scan_oracle(oracle, ids, exhaustive=False, seed=seed)
+                               lambda: _scan_oracle(instance, exhaustive=True))
+    return _scan_oracle(instance, exhaustive=False, seed=seed)
 
 
 def check_oracle(instance: Instance) -> None:

@@ -1,9 +1,10 @@
 """Exhaustive ground truth and checkers for the algorithm guarantees.
 
-Everything here enumerates: optima come from scanning all subsets, and the
-worst case over capacities is evaluated exactly by visiting every subset-sum
-breakpoint, since integer sizes make each half-open capacity interval behave
-like its left endpoint.
+Everything here enumerates: optima scan core's subset table, one value and
+size per subset indexed by bitmask, and the worst case over capacities is
+evaluated exactly by visiting every subset-sum breakpoint, since integer
+sizes make each half-open capacity interval behave like its left endpoint.
+The curvature lemma names subsets by bitmask too (see core.subset_values).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable, Mapping
 
 from . import bounds
 from .core import (Instance, TOL, check_capacity, check_oracle, curvature,
-                   instance_digest, size_breakpoints, sorted_ids, value_ge,
-                   value_gt, values_close)
+                   instance_digest, left_sum, size_breakpoints, sorted_ids,
+                   subset_table, subset_values, value_ge, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
@@ -39,20 +40,6 @@ def _guard(instance: Instance) -> None:
 # ---------------------------------------------------------------------------
 # brute-force optimum
 
-def _subset_table(instance: Instance) -> tuple:
-    """(sorted ids, total size, value) for every subset; values come from the
-    oracle's uncached value function, so the memo keeps no copy of them."""
-    ids = list(instance.ids)
-    sizes = [instance.size(i) for i in ids]
-    value_of = instance.oracle._value
-    rows = []
-    for mask in range(1 << len(ids)):
-        members = tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        total = sum(sizes[i] for i in range(len(ids)) if mask >> i & 1)
-        rows.append((members, total, value_of(frozenset(members))))
-    return tuple(rows)
-
-
 def brute_force_opt(instance: Instance, gamma: int) -> Solution:
     """Best feasible subset by full enumeration; value ties go to the
     lexicographically smallest id sequence; one scan per capacity."""
@@ -63,17 +50,24 @@ def brute_force_opt(instance: Instance, gamma: int) -> Solution:
 
 
 def _scan_opt(instance: Instance, gamma: int) -> Solution:
-    best_ids: tuple[str, ...] = ()
-    best_size = 0
+    best = best_size = 0
     best_value = 0.0
-    table = instance.cached("subset_table", lambda: _subset_table(instance))
-    for members, total, value in table:
+    values, sizes = subset_table(instance)
+    for mask, total in enumerate(sizes):
         if total > gamma:
             continue
-        if value_gt(value, best_value) or (
-                values_close(value, best_value) and members < best_ids):
-            best_ids, best_size, best_value = members, total, value
-    return Solution(frozenset(best_ids), best_value, best_size)
+        value = values[mask]
+        if values_close(value, best_value):
+            # a tie goes to the smaller id sequence.  The masks agree below
+            # their lowest differing bit; best < mask, so mask's ids come
+            # first iff mask holds that bit and best has a member above it
+            low = (mask ^ best) & -(mask ^ best)
+            if not (mask & low and best >= low << 1):
+                continue
+        elif value < best_value:
+            continue
+        best, best_size, best_value = mask, total, value
+    return Solution(frozenset(instance.subset(best)), best_value, best_size)
 
 
 # ---------------------------------------------------------------------------
@@ -314,65 +308,63 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     c = curvature(instance)
-    ids = list(instance.ids)
-    n = len(ids)
-    value_of = instance.oracle.evaluate
+    n, value, subset = instance.n, subset_values(instance), instance.subset
     rec = _Recorder()
     counts = {"marginal_lower": 0, "disjoint_union": 0, "marginal_sum_upper": 0}
 
-    def check_marginal_lower(a: frozenset, j: str) -> None:
+    # sets are bitmasks over instance.ids, j a position in it
+    def check_marginal_lower(a: int, j: int) -> None:
         counts["marginal_lower"] += 1
-        rec.observe(lambda: f"marginal_lower A={sorted(a)} j={j}",
-                    value_of(a | {j}) - value_of(a), (1.0 - c) * value_of({j}))
+        rec.observe(lambda: f"marginal_lower A={list(subset(a))} j={instance.ids[j]}",
+                    value(a | 1 << j) - value(a), (1.0 - c) * value(1 << j))
 
-    def check_disjoint_union(a: frozenset, b: frozenset) -> None:
+    def check_disjoint_union(a: int, b: int) -> None:
         counts["disjoint_union"] += 1
-        rec.observe(lambda: f"disjoint_union A={sorted(a)} B={sorted(b)}",
-                    value_of(a | b) - value_of(a),
-                    (1.0 - c) * sum(value_of({i}) for i in sorted(b)))
+        rec.observe(lambda: f"disjoint_union A={list(subset(a))} B={list(subset(b))}",
+                    value(a | b) - value(a),
+                    (1.0 - c) * left_sum(value(1 << i) for i in range(n) if b >> i & 1))
 
-    def check_marginal_sum_upper(a: frozenset, b: frozenset) -> None:
+    def check_marginal_sum_upper(a: int, b: int) -> None:
         counts["marginal_sum_upper"] += 1
-        fa = value_of(a)
-        bound = fa + sum(value_of(a | {u}) - fa for u in sorted(b - a))
-        rec.observe(lambda: f"marginal_sum_upper A={sorted(a)} B={sorted(b)}",
-                    bound, value_of(b))
+        fa = value(a)
+        bound = fa + left_sum(value(a | 1 << i) - fa for i in range(n) if (b & ~a) >> i & 1)
+        rec.observe(lambda: f"marginal_sum_upper A={list(subset(a))} B={list(subset(b))}",
+                    bound, value(b))
 
     if n <= MAX_CURVATURE_EXHAUSTIVE:
-        for mask in range(1 << n):
-            a = frozenset(ids[i] for i in range(n) if mask >> i & 1)
-            for j in ids:
-                if j not in a:
+        for a in range(1 << n):
+            for j in range(n):
+                if not a >> j & 1:
                     check_marginal_lower(a, j)
         for code in range(3 ** n):
-            a, b = set(), set()
+            a = b = 0
             rest = code
             for i in range(n):
                 rest, digit = divmod(rest, 3)
                 if digit == 1:
-                    a.add(ids[i])
+                    a |= 1 << i
                 elif digit == 2:
-                    b.add(ids[i])
-            check_disjoint_union(frozenset(a), frozenset(b))
+                    b |= 1 << i
+            check_disjoint_union(a, b)
             # reuse the assignment as a nested pair: A and A|B
-            check_marginal_sum_upper(frozenset(a), frozenset(a | b))
+            check_marginal_sum_upper(a, a | b)
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
         for _ in range(trials):
-            j = rng.choice(ids)
-            a = frozenset(i for i in ids if i != j and rng.random() < 0.5)
+            j = rng.choice(range(n))
+            a = sum(1 << i for i in range(n) if i != j and rng.random() < 0.5)
             check_marginal_lower(a, j)
 
-            a, b = set(), set()
-            for i in ids:
+            a = b = 0
+            for i in range(n):
                 r = rng.random()
                 if r < 1.0 / 3.0:
-                    a.add(i)
+                    a |= 1 << i
                 elif r < 2.0 / 3.0:
-                    b.add(i)
-            check_disjoint_union(frozenset(a), frozenset(b))
-            check_marginal_sum_upper(frozenset(a), frozenset(a | b))
+                    b |= 1 << i
+            check_disjoint_union(a, b)
+            check_marginal_sum_upper(a, a | b)
         mode = "sampled"
 
     return CheckReport("curvature_lemma", rec.trials, tuple(rec.failures),

@@ -1,11 +1,14 @@
 """Shared fixtures: hand-checkable instances and the seeded corpus."""
 
 import bisect
+import random
 from itertools import combinations
 
-from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
-                          TableOracle, size_breakpoints, sorted_ids, value_gt,
-                          values_close)
+from subknap.core import (VALIDATE_SAMPLES, CoverageOracle, Instance, Item,
+                          ModularOracle, TableOracle, ValidationReport,
+                          ValueOracle, Violation, curvature, left_sum,
+                          size_breakpoints, sorted_ids, value_gt, values_close)
+from subknap.exact import MAX_CURVATURE_EXHAUSTIVE, CheckReport, _Recorder
 from subknap.generate import GeneratorSpec
 from subknap.greedy import greedy_sequence
 from subknap.policy import is_indispensable
@@ -259,3 +262,132 @@ def reference_interval(instance: Instance, item_id: str) -> tuple[int, int] | No
         if greedy_sequence(instance, cap).order[:run.k + 1] != head:
             return gamma1, cap
     return gamma1, fits_with_prefix
+
+
+# ---------------------------------------------------------------------------
+# validation and the curvature lemma as they were written before both read
+# subset values by bitmask: frozensets of ids, every value through the
+# oracle memo.  Float sums fold left, as the library's do on every Python.
+
+def _reference_subsets(ids: list[str]):
+    n = len(ids)
+    for mask in range(1 << n):
+        yield frozenset(ids[i] for i in range(n) if mask >> i & 1)
+
+
+def reference_scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
+                          seed: int = 0) -> ValidationReport:
+    """The validation scan: exhaustive, or VALIDATE_SAMPLES seeded samples."""
+    found: list[Violation] = []
+    empty = oracle.evaluate(())
+    if not values_close(empty, 0.0):
+        found.append(Violation("normalized", (), (), abs(empty)))
+
+    if exhaustive:
+        mono_cases = ((a, u) for a in _reference_subsets(ids) for u in ids if u not in a)
+        sub_cases = ((a, u1, u2) for a in _reference_subsets(ids)
+                     for u1, u2 in combinations([i for i in ids if i not in a], 2))
+    else:
+        rng = random.Random(seed)
+
+        def _mono_sample():
+            for _ in range(VALIDATE_SAMPLES):
+                u = rng.choice(ids)
+                a = frozenset(i for i in ids if i != u and rng.random() < 0.5)
+                yield a, u
+
+        def _sub_sample():
+            for _ in range(VALIDATE_SAMPLES):
+                u1, u2 = rng.sample(ids, 2)
+                a = frozenset(i for i in ids if i not in (u1, u2) and rng.random() < 0.5)
+                yield a, min(u1, u2), max(u1, u2)
+
+        mono_cases = _mono_sample()
+        sub_cases = _sub_sample()
+
+    for a, u in mono_cases:
+        before, after = oracle.evaluate(a), oracle.evaluate(a | {u})
+        if value_gt(before, after):
+            found.append(Violation("monotone", sorted_ids(a), (u,), before - after))
+            break
+
+    for a, u1, u2 in sub_cases:
+        lhs = oracle.evaluate(a | {u1}) + oracle.evaluate(a | {u2})
+        rhs = oracle.evaluate(a | {u1, u2}) + oracle.evaluate(a)
+        if value_gt(rhs, lhs):
+            found.append(Violation("submodular", sorted_ids(a), (u1, u2), rhs - lhs))
+            break
+
+    failed = {v.kind for v in found}
+    return ValidationReport("normalized" not in failed, "monotone" not in failed,
+                            "submodular" not in failed, found[0] if found else None,
+                            "exhaustive" if exhaustive else "sampled")
+
+
+def reference_curvature_lemma(instance: Instance, trials: int = 10000,
+                              seed: int = 0) -> CheckReport:
+    """check_curvature_lemma: exhaustive up to MAX_CURVATURE_EXHAUSTIVE items,
+    seeded samples above."""
+    c = curvature(instance)
+    ids = list(instance.ids)
+    n = len(ids)
+    value_of = instance.oracle.evaluate
+    rec = _Recorder()
+    counts = {"marginal_lower": 0, "disjoint_union": 0, "marginal_sum_upper": 0}
+
+    def check_marginal_lower(a: frozenset, j: str) -> None:
+        counts["marginal_lower"] += 1
+        rec.observe(lambda: f"marginal_lower A={sorted(a)} j={j}",
+                    value_of(a | {j}) - value_of(a), (1.0 - c) * value_of({j}))
+
+    def check_disjoint_union(a: frozenset, b: frozenset) -> None:
+        counts["disjoint_union"] += 1
+        rec.observe(lambda: f"disjoint_union A={sorted(a)} B={sorted(b)}",
+                    value_of(a | b) - value_of(a),
+                    (1.0 - c) * left_sum(value_of({i}) for i in sorted(b)))
+
+    def check_marginal_sum_upper(a: frozenset, b: frozenset) -> None:
+        counts["marginal_sum_upper"] += 1
+        fa = value_of(a)
+        bound = fa + left_sum(value_of(a | {u}) - fa for u in sorted(b - a))
+        rec.observe(lambda: f"marginal_sum_upper A={sorted(a)} B={sorted(b)}",
+                    bound, value_of(b))
+
+    if n <= MAX_CURVATURE_EXHAUSTIVE:
+        for mask in range(1 << n):
+            a = frozenset(ids[i] for i in range(n) if mask >> i & 1)
+            for j in ids:
+                if j not in a:
+                    check_marginal_lower(a, j)
+        for code in range(3 ** n):
+            a, b = set(), set()
+            rest = code
+            for i in range(n):
+                rest, digit = divmod(rest, 3)
+                if digit == 1:
+                    a.add(ids[i])
+                elif digit == 2:
+                    b.add(ids[i])
+            check_disjoint_union(frozenset(a), frozenset(b))
+            check_marginal_sum_upper(frozenset(a), frozenset(a | b))
+        mode = "exhaustive"
+    else:
+        rng = random.Random(seed)
+        for _ in range(trials):
+            j = rng.choice(ids)
+            a = frozenset(i for i in ids if i != j and rng.random() < 0.5)
+            check_marginal_lower(a, j)
+
+            a, b = set(), set()
+            for i in ids:
+                r = rng.random()
+                if r < 1.0 / 3.0:
+                    a.add(i)
+                elif r < 2.0 / 3.0:
+                    b.add(i)
+            check_disjoint_union(frozenset(a), frozenset(b))
+            check_marginal_sum_upper(frozenset(a), frozenset(a | b))
+        mode = "sampled"
+
+    return CheckReport("curvature_lemma", rec.trials, tuple(rec.failures),
+                       rec.worst, notes=(f"mode={mode}",), counts=counts)

@@ -33,6 +33,15 @@ def test_coverage_oracle_values():
     assert oracle.evaluate({"1"}) == 1.0
 
 
+def test_values_are_left_folds_on_every_python():
+    # Python 3.12 made float sum() compensated, which would give 0.6 here
+    weights = {"a": 0.1, "b": 0.2, "c": 0.3}
+    for oracle in (make_modular_oracle(weights),
+                   make_coverage_oracle(weights, {"a": ["a", "b", "c"]}),
+                   make_concave_modular_oracle(weights, 1.0)):
+        assert oracle.evaluate(oracle.domain) == 0.6000000000000001
+
+
 def test_coverage_unknown_element_rejected():
     with pytest.raises(ConfigurationError):
         make_coverage_oracle({"x": 1.0}, {"1": ["x", "zz"]})

@@ -3,23 +3,29 @@ of the reference loops in helpers.py, on the whole corpus at every
 breakpoint and on one n=100 coverage instance past the exhaustive guard.
 Generated near ties (repeated densities, zero gains, tables within TOL of
 submodular) check that lazy selection keeps the scan's tie-breaks.  Exhaustive
-optima equal the reference scan at every capacity."""
+optima equal the reference scan at every capacity, and validation and the
+curvature lemma, which read subset values by bitmask, equal the frozenset
+scans they replaced."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_greedy, reference_interval, reference_opt,
-                     reference_policy, reference_start_list,
-                     reference_subset_table)
-from subknap.core import (TOL, CoverageOracle, Instance, Item, ModularOracle,
-                          OracleValidationError, TableOracle, check_oracle,
-                          instance_from_dict, instance_to_dict, normalize_instance)
-from subknap.exact import breakpoints, brute_force_opt
+from helpers import (reference_curvature_lemma, reference_greedy,
+                     reference_interval, reference_opt, reference_policy,
+                     reference_scan_oracle, reference_start_list,
+                     reference_subset_table, sneaky_bad_table,
+                     superadditive_table, zero_item_supermodular)
+from subknap.core import (MAX_VALIDATE_EXHAUSTIVE, TOL, CoverageOracle, Instance,
+                          Item, ModularOracle, OracleValidationError, TableOracle,
+                          ValueOracle, check_oracle, instance_from_dict,
+                          instance_to_dict, normalize_instance, validate_oracle)
+from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
 from subknap.policy import (execute_policy, indispensability_interval,
                             make_fit_oracle, start_item_list)
+from test_cli import _thirteen_item_table
 
 
 def _assert_matches_reference(instance, capacities) -> None:
@@ -238,3 +244,78 @@ def test_generated_opt_matches_reference_at_every_capacity(kind, n):
 def test_near_tie_and_empty_opt_match_reference_at_every_capacity():
     _assert_opt_matches_reference(_saturated_near_tie_coverage())
     _assert_opt_matches_reference(_all_items_normalize_away())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_modular_duplicate_ratios() | _saturating_coverage() | _perturbed_table())
+def test_near_tie_opt_matches_reference_at_every_capacity(instance):
+    _assert_opt_matches_reference(instance)
+
+
+# ---------------------------------------------------------------------------
+# validation and the curvature lemma name subsets by bitmask and read their
+# values from the subset table or the oracle; the frozenset scans they
+# replaced must give equal reports, witnesses, slacks and counts
+
+def _outcome(check, *args):
+    """What a check returns, or the type and text of the error it raises."""
+    try:
+        result = check(*args)
+    except ValueError as exc:  # includes OracleValidationError
+        return type(exc), str(exc)
+    return result.to_dict()
+
+
+def _assert_checks_match_reference(instance, trials: int = 500) -> None:
+    exhaustive = (instance.n <= MAX_VALIDATE_EXHAUSTIVE
+                  or instance.oracle.needs_validation)
+    assert validate_oracle(instance) == reference_scan_oracle(
+        instance.oracle, list(instance.ids), exhaustive)
+    assert _outcome(check_curvature_lemma, instance, trials) \
+        == _outcome(reference_curvature_lemma, instance, trials)
+
+
+def test_corpus_checks_match_reference(corpus):
+    for _, instance in corpus:
+        _assert_checks_match_reference(instance)
+
+
+_CHECKED = [(kind, n, seed) for kind in ("modular", "coverage", "concave_modular")
+            for n in (11, 12, 13, 14) for seed in (0, 3)]
+
+
+@pytest.mark.parametrize("kind, n, seed", _CHECKED,
+                         ids=[f"{kind}-n{n}-s{seed}" for kind, n, seed in _CHECKED])
+def test_generated_checks_match_reference(kind, n, seed):
+    _assert_checks_match_reference(
+        generate_instance(GeneratorSpec(kind, n=n, seed=seed)))
+
+
+def test_table_checks_match_reference():
+    for instance in (
+            Instance((Item("a", 1), Item("b", 2)), TableOracle(superadditive_table())),
+            Instance((Item("a", 1), Item("b", 2), Item("c", 3)), sneaky_bad_table()),
+            zero_item_supermodular(), _thirteen_item_table()):
+        _assert_checks_match_reference(instance)
+
+
+class _EvenSizeBonus(ValueOracle):
+    """|S|, plus 1.5 when |S| is even and S is neither empty nor everything:
+    neither monotone nor submodular on base sets of even size, while the
+    curvature is 0, so the first violation either check finds depends on
+    what it draws."""
+
+    def _value(self, s: frozenset[str]) -> float:
+        k = len(s)
+        return k + (1.5 if k % 2 == 0 and 0 < k < len(self.domain) else 0.0)
+
+
+def test_unchecked_supermodular_oracle_matches_reference():
+    ids = [f"u{k:02d}" for k in range(14)]
+    instance = Instance(tuple(Item(i, 1 + k % 4) for k, i in enumerate(ids)),
+                        _EvenSizeBonus(ids))
+    report = validate_oracle(instance)
+    assert (report.mode, report.monotone, report.submodular) == ("sampled", False, False)
+    assert check_curvature_lemma(instance, 2000).failures
+    _assert_checks_match_reference(instance)

@@ -66,6 +66,26 @@ def test_fresh_opt_builds_its_table_without_evaluate(monkeypatch):
     brute_force_opt(inst, sum(it.size for it in inst.items) // 2)
     assert calls == 0
 
+    # validation, the curvature lemma and the optimum read one subset table,
+    # which values each subset once; the curvature itself uses the memo
+    inst = generate_instance(GeneratorSpec("coverage", n=8, seed=0))
+    monkeypatch.setattr(ValueOracle, "evaluate", evaluate)
+    curvature(inst)
+    monkeypatch.setattr(ValueOracle, "evaluate", counting)
+    values = 0
+    value = CoverageOracle._value
+
+    def counting_value(self, s):
+        nonlocal values
+        values += 1
+        return value(self, s)
+
+    monkeypatch.setattr(CoverageOracle, "_value", counting_value)
+    assert core.validate_oracle(inst).mode == "exhaustive"
+    assert check_curvature_lemma(inst).notes == ("mode=exhaustive",)
+    brute_force_opt(inst, sum(it.size for it in inst.items) // 2)
+    assert (calls, values) == (0, 2 ** 8)
+
 
 def test_verify_computes_curvature_once_and_scans_once_per_breakpoint(
         monkeypatch, tmp_path):

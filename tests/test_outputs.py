@@ -1,16 +1,19 @@
 """Pinned outputs: the sha256 of `verify`'s exit code and stdout, and of the
 `sweep` CSV, for one exhaustive-mode (n = 8) and one sampled-mode (n = 10)
-corpus instance of each kind.  A change that moves any printed digit or
-verdict fails here; a deliberate one updates the digests and says why."""
+corpus instance of each kind, and for 13-item instances on both sides of the
+rule that picks where subset values come from.  A change that moves any
+printed digit or verdict fails here; a deliberate one updates the digests
+and says why."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
 from helpers import corpus_specs
 from subknap.cli import main
-from subknap.core import save_instance
-from subknap.generate import generate_instance
+from subknap.core import Instance, TableOracle, save_instance
+from subknap.generate import GeneratorSpec, generate_instance
 
 # (kind, corpus seed) -> (verify digest, sweep CSV digest)
 PINNED = {
@@ -49,3 +52,43 @@ def test_verify_and_sweep_outputs_pinned(kind, seed, tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     assert main(["sweep", "-i", str(path), "-o", str(csv)]) == 0
     assert (verify, _sha(csv.read_bytes())) == PINNED[(kind, seed)]
+
+
+def _valid_table13() -> Instance:
+    """Generated coverage n=13 seed 1 written out as a table of all 8192
+    subset values: valid, so validation judges it exhaustively."""
+    base = generate_instance(GeneratorSpec("coverage", n=13, seed=1))
+    ids = sorted(base.oracle.domain)
+    values = {",".join(s): base.value(s) for r in range(14) for s in combinations(ids, r)}
+    return Instance(base.items, TableOracle(values))
+
+
+# 13 items, on both sides of the rule that picks where subset values come
+# from: a generated instance is validated by samples, and only its optimum
+# reads the subset table; a table is validated exhaustively from it
+PINNED_13 = {
+    "modular": ("c5b43195622eea3acfc46975e6469229c9995de29ff36cdf53b3311440e8afb3",
+                "0614493dcca25eae6b088751ac186ab39c50c414c612e2ae2543f444ca062f31"),
+    "coverage": ("86801414d4c18c5f6dd136bf19cfe11f1ca40bed7c17af5b87c7b2b5ac523c18",
+                 "1518ac471518aaf0f809640ff327fde0bd2d5326f5efce01942864352689081a"),
+    "concave_modular": (
+        "9350e4149400bd9f655ed7621deb5b8087e57cea24bfafbdbd0658cfc850ddb0",
+        "6eb4a709017f58a6d34073b48cc5ce221ece9626ec84d69b8b18d88bbe3881b2"),
+    "table": ("272325af67c2391fbe475fefb9f39718b007ba74beeb0d99252295bb92993751",
+              "6526fb4859ced5be58cc4a66c65bd9380f98ae6f4300667082655a70af77d81e"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_13))
+def test_thirteen_item_outputs_pinned(kind, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    if kind == "table":
+        save_instance(_valid_table13(), path)
+    else:
+        spec = GeneratorSpec(kind, n=13, seed=0)
+        save_instance(generate_instance(spec), path, header=spec.header())
+    code = main(["verify", "-i", str(path)])
+    verify = _sha(f"exit={code}\n{capsys.readouterr().out}".encode())
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "-i", str(path), "-o", str(csv)]) == 0
+    assert (verify, _sha(csv.read_bytes())) == PINNED_13[kind]
