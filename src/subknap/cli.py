@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from . import bounds, exact
 from .core import (ConfigurationError, OracleValidationError, check_capacity,
@@ -26,7 +27,9 @@ EXIT_CONFIG = 2
 MAX_GRID_POINTS = 10 ** 6
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="subknap",
         description="Submodular knapsack maximization with known and unknown capacity")

@@ -13,9 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress
+from itertools import compress
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 TOL = 1e-9
 
@@ -23,6 +25,8 @@ TOL = 1e-9
 #: above it, it takes VALIDATE_SAMPLES seeded samples per condition
 MAX_VALIDATE_EXHAUSTIVE = 12
 VALIDATE_SAMPLES = 2000
+#: base masks per block of the exhaustive scan, which bounds its arrays
+_SCAN_ROWS = 1024
 
 #: the digits of bin() as the bytes 0 and 1, which compress() reads as flags
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -50,6 +54,22 @@ def value_gt(a: float, b: float) -> bool:
 
 def value_ge(a: float, b: float) -> bool:
     return a >= b or values_close(a, b)
+
+
+# the same three rules elementwise over float64 arrays; like Python floats,
+# they stay silent where a difference overflows or is undefined
+
+def values_close_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        return np.abs(a - b) <= TOL * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def value_gt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a > b) & ~values_close_array(a, b)
+
+
+def value_ge_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a >= b) | values_close_array(a, b)
 
 
 def left_sum(terms: Iterable[float]) -> float:
@@ -421,16 +441,20 @@ def size_breakpoints(items: Iterable[Item]) -> tuple[int, ...]:
     return tuple(sorted(sums))
 
 
-def subset_table(instance: Instance) -> tuple[list[float], list[int]]:
-    """The value and the total size of every subset, indexed by bitmask (see
-    Instance.subset); built once per instance from the oracle's uncached
-    value function, so the memo keeps no copy of it."""
+def subset_table(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The value (float64) and the total size (int64) of every subset as
+    numpy arrays indexed by bitmask (see Instance.subset).  Built once per
+    instance from the oracle's uncached value function, so the values are
+    the oracle's floats and the memo keeps no copy of them.  Exhaustive
+    validation, the curvature lemma (through subset_values) and the optimum
+    read these arrays.  Sizes whose total exceeds int64 stay Python ints."""
     def build():
-        sizes = [0]
+        values = _oracle_values(instance, range(1 << instance.n))
+        total = instance.total_size(instance.ids)
+        sizes = np.zeros(1, dtype=np.int64 if total <= np.iinfo(np.int64).max else object)
         for size in map(instance.size, instance.ids):
-            sizes += [total + size for total in sizes]
-        return [instance.oracle._value(frozenset(instance.subset(m)))
-                for m in range(len(sizes))], sizes
+            sizes = np.concatenate((sizes, sizes + size))
+        return values, sizes
     return instance.cached("subset_table", build)
 
 
@@ -439,13 +463,25 @@ def _checks_every_subset(instance: Instance) -> bool:
     return instance.n <= MAX_VALIDATE_EXHAUSTIVE or instance.oracle.needs_validation
 
 
-def subset_values(instance: Instance) -> Callable[[int], float]:
-    """f of a subset named by bitmask.  It reads the subset table where
-    validation checks every subset; elsewhere it asks the oracle, so a
-    sampled check values only the subsets it draws."""
+def subset_values(instance: Instance, masks: np.ndarray) -> np.ndarray:
+    """f at each subset of an array of bitmasks, as float64.  It reads the
+    subset table where validation checks every subset; elsewhere it values
+    each distinct mask once through the oracle's uncached value function, so
+    a sampled check values only the subsets it draws and leaves the memo
+    alone."""
     if _checks_every_subset(instance):
-        return subset_table(instance)[0].__getitem__
-    return lambda mask: instance.oracle.evaluate(instance.subset(mask))
+        return subset_table(instance)[0][masks]
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    found = _oracle_values(instance, distinct.tolist())
+    return found[inverse.reshape(masks.shape)]
+
+
+def _oracle_values(instance: Instance, masks: Sequence[int]) -> np.ndarray:
+    """f of each subset named by a bitmask, from the oracle's uncached value
+    function."""
+    value = instance.oracle._value
+    return np.fromiter((value(frozenset(instance.subset(m))) for m in masks),
+                       dtype=np.float64, count=len(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +514,19 @@ class ValidationReport:
 
 def _scan_oracle(instance: Instance, exhaustive: bool, seed: int = 0) -> ValidationReport:
     # subsets and items are bitmasks over instance.ids, an item one bit
-    n, value, subset = instance.n, subset_values(instance), instance.subset
+    n, subset = instance.n, instance.subset
+    if exhaustive:
+        values = subset_table(instance)[0]
+        value = lambda mask: values[mask].item()
+    else:
+        value = lambda mask: instance.oracle.evaluate(subset(mask))
     found: list[Violation] = []  # at most one per condition, in check order
     empty = value(0)
     if not values_close(empty, 0.0):
         found.append(Violation("normalized", (), (), abs(empty)))
 
     if exhaustive:
-        mono_cases = ((a, 1 << i) for a in range(1 << n) for i in range(n) if not a >> i & 1)
-        sub_cases = ((a, 1 << i, 1 << j) for a in range(1 << n)
-                     for i, j in combinations([k for k in range(n) if not a >> k & 1], 2))
+        mono_cases, sub_cases = _table_violations(n, values)
     else:
         rng = random.Random(seed)
 
@@ -523,6 +562,33 @@ def _scan_oracle(instance: Instance, exhaustive: bool, seed: int = 0) -> Validat
     return ValidationReport("normalized" not in failed, "monotone" not in failed,
                             "submodular" not in failed, found[0] if found else None,
                             "exhaustive" if exhaustive else "sampled")
+
+
+def _table_violations(n: int, values: np.ndarray) -> tuple[list, list]:
+    """The first (A, u) with f(A) > f(A + u) and the first (A, u1, u2) with
+    f(A + u1) + f(A + u2) < f(A + u1 + u2) + f(A), beyond tolerance, each
+    as a list of at most one case: the lowest A, then the first item or the
+    first pair in combinations order.  Each check covers a block of base
+    masks (rows) and every item or pair (columns) at once; where A holds an
+    item of the case, both sides are the same float sums, which value_gt
+    never separates."""
+    def first(check, *cases):
+        for start in range(0, values.size, _SCAN_ROWS):
+            a = np.arange(start, min(start + _SCAN_ROWS, values.size))[:, None]
+            hits = check(a, *cases)
+            if hits.any():
+                row, k = divmod(int(hits.argmax()), hits.shape[1])
+                return [(start + row, *(int(case[k]) for case in cases))]
+        return []
+
+    bits = 1 << np.arange(n)
+    i, j = np.triu_indices(n, 1)  # the pairs in combinations order
+    with np.errstate(all="ignore"):
+        mono = first(lambda a, u: value_gt_array(values[a], values[a | u]), bits)
+        sub = first(lambda a, u1, u2: value_gt_array(values[a | u1 | u2] + values[a],
+                                                     values[a | u1] + values[a | u2]),
+                    bits[i], bits[j])
+    return mono, sub
 
 
 def validate_oracle(instance: Instance, seed: int = 0) -> ValidationReport:

@@ -1,10 +1,13 @@
 """Exhaustive ground truth and checkers for the algorithm guarantees.
 
-Everything here enumerates: optima scan core's subset table, one value and
-size per subset indexed by bitmask, and the worst case over capacities is
-evaluated exactly by visiting every subset-sum breakpoint, since integer
-sizes make each half-open capacity interval behave like its left endpoint.
-The curvature lemma names subsets by bitmask too (see core.subset_values).
+Everything here enumerates: optima scan core's subset table, numpy arrays
+of one value (float64) and one size (int64) per subset indexed by bitmask,
+and the worst case over capacities is evaluated exactly by visiting every
+subset-sum breakpoint, since integer sizes make each half-open capacity
+interval behave like its left endpoint.  The curvature lemma builds the
+bitmasks of all its trials as numpy arrays, reads their values from the same
+table (or, above 12 items, from the oracle; see core.subset_values) and
+checks every trial as one array operation.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import bounds
 from .core import (Instance, TOL, check_capacity, check_oracle, curvature,
-                   instance_digest, left_sum, size_breakpoints, sorted_ids,
-                   subset_table, subset_values, value_ge, values_close)
+                   instance_digest, size_breakpoints, sorted_ids, subset_table,
+                   subset_values, value_ge, value_ge_array, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
@@ -50,13 +55,12 @@ def brute_force_opt(instance: Instance, gamma: int) -> Solution:
 
 
 def _scan_opt(instance: Instance, gamma: int) -> Solution:
-    best = best_size = 0
+    best = 0
     best_value = 0.0
     values, sizes = subset_table(instance)
-    for mask, total in enumerate(sizes):
-        if total > gamma:
-            continue
-        value = values[mask]
+    # clamped to the total size, the capacity fits the sizes' int64
+    feasible = np.flatnonzero(sizes <= min(gamma, sizes[-1]))
+    for mask, value in zip(feasible.tolist(), values[feasible].tolist()):
         if values_close(value, best_value):
             # a tie goes to the smaller id sequence.  The masks agree below
             # their lowest differing bit; best < mask, so mask's ids come
@@ -66,8 +70,8 @@ def _scan_opt(instance: Instance, gamma: int) -> Solution:
                 continue
         elif value < best_value:
             continue
-        best, best_size, best_value = mask, total, value
-    return Solution(frozenset(instance.subset(best)), best_value, best_size)
+        best, best_value = mask, value
+    return Solution(frozenset(instance.subset(best)), best_value, int(sizes[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +299,9 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # curvature inequalities
 
+_LEMMA_FAMILIES = ("marginal_lower", "disjoint_union", "marginal_sum_upper")
+
+
 def check_curvature_lemma(instance: Instance, trials: int = 10000,
                           seed: int = 0) -> CheckReport:
     """Curvature bounds on marginals plus the marginal-sum upper bound.
@@ -304,71 +311,103 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
       marginal_lower:      (1-c) f({j}) <= f(A + j) - f(A)
       disjoint_union:      f(A + B) >= f(A) + (1-c) sum of f({i}), i in B
       marginal_sum_upper:  f(B) <= f(A) + sum of marginals of B - A on A
+    The sets of all trials are numpy arrays of bitmasks over instance.ids,
+    valued by one core.subset_values call and checked as array operations.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     c = curvature(instance)
-    n, value, subset = instance.n, subset_values(instance), instance.subset
-    rec = _Recorder()
-    counts = {"marginal_lower": 0, "disjoint_union": 0, "marginal_sum_upper": 0}
-
-    # sets are bitmasks over instance.ids, j a position in it
-    def check_marginal_lower(a: int, j: int) -> None:
-        counts["marginal_lower"] += 1
-        rec.observe(lambda: f"marginal_lower A={list(subset(a))} j={instance.ids[j]}",
-                    value(a | 1 << j) - value(a), (1.0 - c) * value(1 << j))
-
-    def check_disjoint_union(a: int, b: int) -> None:
-        counts["disjoint_union"] += 1
-        rec.observe(lambda: f"disjoint_union A={list(subset(a))} B={list(subset(b))}",
-                    value(a | b) - value(a),
-                    (1.0 - c) * left_sum(value(1 << i) for i in range(n) if b >> i & 1))
-
-    def check_marginal_sum_upper(a: int, b: int) -> None:
-        counts["marginal_sum_upper"] += 1
-        fa = value(a)
-        bound = fa + left_sum(value(a | 1 << i) - fa for i in range(n) if (b & ~a) >> i & 1)
-        rec.observe(lambda: f"marginal_sum_upper A={list(subset(a))} B={list(subset(b))}",
-                    bound, value(b))
+    n, subset = instance.n, instance.subset
+    # masks of more than 62 items do not fit int64
+    bit = np.array([1 << i for i in range(n)], dtype=np.int64 if n < 63 else object)
 
     if n <= MAX_CURVATURE_EXHAUSTIVE:
-        for a in range(1 << n):
-            for j in range(n):
-                if not a >> j & 1:
-                    check_marginal_lower(a, j)
-        for code in range(3 ** n):
-            a = b = 0
-            rest = code
-            for i in range(n):
-                rest, digit = divmod(rest, 3)
-                if digit == 1:
-                    a |= 1 << i
-                elif digit == 2:
-                    b |= 1 << i
-            check_disjoint_union(a, b)
-            # reuse the assignment as a nested pair: A and A|B
-            check_marginal_sum_upper(a, a | b)
+        # marginal_lower: every (A, j) with j outside A, ordered by A, then j
+        ml_a = np.repeat(np.arange(1 << n, dtype=np.int64), n)
+        ml_j = np.tile(np.arange(n), 1 << n)
+        outside = (ml_a >> ml_j) & 1 == 0
+        ml_a, ml_j = ml_a[outside], ml_j[outside]
+        # the others: every assignment of the items to A, B or neither;
+        # digit i of the ternary code is 1 where item i is in A, 2 in B
+        digits = np.arange(3 ** n, dtype=np.int64)[:, None] // 3 ** np.arange(n) % 3
+        in_a, in_b = digits == 1, digits == 2
+        # counted order: every marginal_lower check, then disjoint_union and
+        # marginal_sum_upper in turn, code by code
+        family = np.concatenate((np.zeros(len(ml_a), dtype=np.int64),
+                                 np.tile([1, 2], 3 ** n)))
+        trial = np.concatenate((np.arange(len(ml_a)), np.repeat(np.arange(3 ** n), 2)))
         mode = "exhaustive"
     else:
+        # the draws of a trial, in the order that fixes a seed's samples: j,
+        # then one coin per other position, then one three-way draw each
         rng = random.Random(seed)
+        choice, draw, positions, per_trial = rng.choice, rng.random, range(n), range(2 * n - 1)
+        ml_j, draws = [], []
         for _ in range(trials):
-            j = rng.choice(range(n))
-            a = sum(1 << i for i in range(n) if i != j and rng.random() < 0.5)
-            check_marginal_lower(a, j)
-
-            a = b = 0
-            for i in range(n):
-                r = rng.random()
-                if r < 1.0 / 3.0:
-                    a |= 1 << i
-                elif r < 2.0 / 3.0:
-                    b |= 1 << i
-            check_disjoint_union(a, b)
-            check_marginal_sum_upper(a, a | b)
+            ml_j.append(choice(positions))
+            draws += [draw() for _ in per_trial]
+        ml_j = np.array(ml_j)
+        draws = np.array(draws).reshape(trials, 2 * n - 1)
+        in_ml = np.zeros((trials, n), dtype=bool)
+        others = np.arange(n - 1) + (np.arange(n - 1) >= ml_j[:, None])
+        in_ml[np.arange(trials)[:, None], others] = draws[:, :n - 1] < 0.5
+        ml_a = (in_ml * bit).sum(axis=1)
+        in_a = draws[:, n - 1:] < 1.0 / 3.0
+        in_b = ~in_a & (draws[:, n - 1:] < 2.0 / 3.0)
+        # counted order: trial by trial, the three families in turn
+        family, trial = np.tile([0, 1, 2], trials), np.repeat(np.arange(trials), 3)
         mode = "sampled"
 
-    return CheckReport("curvature_lemma", rec.trials, tuple(rec.failures),
-                       rec.worst, notes=(f"mode={mode}",), counts=counts)
+    a, b = (in_a * bit).sum(axis=1), (in_b * bit).sum(axis=1)
+    # A + i for each i in B, and A itself where i is not in B
+    a_plus = np.where(in_b, a[:, None] | bit, a[:, None])
+    f_bit, f_ml_a, f_ml_aj, f_a, f_ab, f_a_plus = _values_at(
+        instance, bit, ml_a, ml_a | bit[ml_j], a, a | b, a_plus)
+
+    with np.errstate(all="ignore"):
+        sides = ((f_ml_aj - f_ml_a, (1.0 - c) * f_bit[ml_j]),
+                 (f_ab - f_a, (1.0 - c) * _left_fold(np.where(in_b, f_bit, 0.0))),
+                 (f_a + _left_fold(np.where(in_b, f_a_plus - f_a[:, None], 0.0)), f_ab))
+        sizes = [len(lhs) for lhs, _ in sides]
+        at = np.cumsum([0, *sizes[:-1]])[family] + trial
+        lhs, rhs = (np.concatenate(column)[at] for column in zip(*sides))
+        slack = lhs - rhs
+
+    def witness(family: int, t: int) -> str:
+        if family == 0:
+            return f"marginal_lower A={list(subset(int(ml_a[t])))} j={instance.ids[ml_j[t]]}"
+        b_set = b[t] if family == 1 else a[t] | b[t]
+        return (f"{_LEMMA_FAMILIES[family]} A={list(subset(int(a[t])))} "
+                f"B={list(subset(int(b_set)))}")
+
+    failures = tuple(Failure(witness(family[k], trial[k]), slack[k].item())
+                     for k in np.flatnonzero(~value_ge_array(lhs, rhs)).tolist())
+    return CheckReport("curvature_lemma", len(slack), failures, _running_min(slack),
+                       notes=(f"mode={mode}",), counts=dict(zip(_LEMMA_FAMILIES, sizes)))
+
+
+def _values_at(instance: Instance, *masks: np.ndarray) -> list[np.ndarray]:
+    """f at every mask of each array, from one core.subset_values call, so a
+    subset drawn twice is valued once."""
+    flat = subset_values(instance, np.concatenate([m.ravel() for m in masks]))
+    ends = np.cumsum([m.size for m in masks])
+    return [flat[end - m.size:end].reshape(m.shape) for m, end in zip(masks, ends)]
+
+
+def _left_fold(terms: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, each a left fold from 0.0 as core.left_sum
+    takes it, so that adding an absent member's 0.0 leaves every bit alone."""
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total += column
+    return total
+
+
+def _running_min(values: np.ndarray) -> float:
+    """min(inf, *values) as Python folds it: a NaN never replaces the
+    minimum, and of equal values (0.0 and -0.0) the first stays."""
+    candidates = np.where(np.isnan(values), math.inf, values)
+    return candidates[np.flatnonzero(candidates == candidates.min())[0]].item()
 
 
 # ---------------------------------------------------------------------------

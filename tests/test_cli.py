@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import ex1, ex3, superadditive_table, zero_item_supermodular
-from subknap import core
+from subknap import cli, core
 from subknap.cli import main
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           TableOracle, curvature, instance_from_dict,
@@ -363,3 +363,21 @@ def test_verify_refuses_instance_that_normalises_to_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: curvature requires at least one item"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_calls_in_one_process_parse_independently(ex1_file, tmp_path, capsys):
+    first = tmp_path / "first.json"
+    assert main(["gen", "--kind", "modular", "--n", "4", "--seed", "5",
+                 "-o", str(first)]) == 0
+    assert capsys.readouterr().out.endswith("kind=modular, seed=5)\n")
+    assert main(["eval", "-i", ex1_file, "--gamma", "2", "--alg", "opt"]) == 0
+    assert "items: b" in capsys.readouterr().out
+    # the second gen takes its defaults, not the first call's options
+    second = tmp_path / "second.json"
+    assert main(["gen", "--kind", "coverage", "--n", "3", "-o", str(second)]) == 0
+    assert capsys.readouterr().out.endswith("kind=coverage, seed=0)\n")
+    assert load_instance(second).n == 3
+    assert cli._build_parser() is cli._build_parser()

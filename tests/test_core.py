@@ -1,17 +1,22 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ex1, ex2, ex3, superadditive_table, zero_item_supermodular
-from subknap.core import (ConfigurationError, Instance, Item,
+from subknap.core import (TOL, ConfigurationError, Instance, Item,
                           ModularOracle, OracleValidationError, TableOracle,
                           curvature, evaluate, instance_digest,
                           instance_from_dict, instance_to_dict, load_instance,
                           make_concave_modular_oracle, make_coverage_oracle,
                           make_modular_oracle, make_table_oracle,
                           normalize_instance, save_instance, size_breakpoints,
-                          validate_oracle)
+                          validate_oracle, value_ge, value_ge_array,
+                          value_gt, value_gt_array, values_close,
+                          values_close_array)
 from subknap.generate import GeneratorSpec, generate_instance
 
 
@@ -274,3 +279,39 @@ def test_generator_header_is_ignored_on_load(tmp_path):
     path = tmp_path / "h.json"
     save_instance(inst, path, header={"algorithm": "pcg64", "seed": 1})
     assert instance_to_dict(load_instance(path)) == instance_to_dict(inst)
+
+
+# ---------------------------------------------------------------------------
+# the array forms of the tolerance rule
+
+_VALUES = (st.floats(-1e300, 1e300, allow_nan=False)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                              1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _value_pairs(draw):
+    """Two values: independent, equal, negated, or a few ULP either side
+    of the tolerance edge TOL * max(1, |a|, |b|)."""
+    a = draw(_VALUES)
+    how = draw(st.sampled_from(["independent", "equal", "negated", "edge"]))
+    if how == "independent":
+        return a, draw(_VALUES)
+    if how == "equal":
+        return a, a
+    if how == "negated":
+        return a, -a
+    b = a + draw(st.sampled_from([1.0, -1.0])) * TOL * max(1.0, abs(a))
+    for _ in range(draw(st.integers(0, 4))):
+        b = math.nextafter(b, draw(st.sampled_from([math.inf, -math.inf])))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_value_pairs(), min_size=1, max_size=12))
+def test_array_comparisons_agree_with_scalar_rules(pairs):
+    a, b = (np.array(side, dtype=np.float64) for side in zip(*pairs))
+    for array_rule, rule in ((values_close_array, values_close),
+                             (value_gt_array, value_gt), (value_ge_array, value_ge)):
+        assert array_rule(a, b).tolist() == [rule(x, y) for x, y in pairs]
+        assert array_rule(b, a).tolist() == [rule(y, x) for x, y in pairs]

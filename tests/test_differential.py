@@ -7,6 +7,10 @@ optima equal the reference scan at every capacity, and validation and the
 curvature lemma, which read subset values by bitmask, equal the frozenset
 scans they replaced."""
 
+import random
+from functools import reduce
+from operator import or_
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,8 @@ from helpers import (reference_curvature_lemma, reference_greedy,
 from subknap.core import (MAX_VALIDATE_EXHAUSTIVE, TOL, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
-                          instance_to_dict, normalize_instance, validate_oracle)
+                          instance_to_dict, left_sum, normalize_instance,
+                          validate_oracle)
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
@@ -319,3 +324,97 @@ def test_unchecked_supermodular_oracle_matches_reference():
     assert (report.mode, report.monotone, report.submodular) == ("sampled", False, False)
     assert check_curvature_lemma(instance, 2000).failures
     _assert_checks_match_reference(instance)
+
+
+# ---------------------------------------------------------------------------
+# random tables around the exhaustive limit of the curvature lemma: exact
+# ties, near ties, signed zeros, and supermodular or non-monotone defects.
+# Reports must equal the reference down to the sign of a zero worst slack
+
+_TABLE_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 3.0, 0.1, 0.3, 2e-9])
+
+
+@st.composite
+def _random_table(draw):
+    """A modular or three-element coverage table on 1-10 items (8 and 9
+    drawn more often), each nonempty subset shifted by up to `shift` TOL;
+    then some subsets are set to 0.0 or -0.0 or moved by 1e-9 or 1."""
+    n = draw(st.sampled_from([8, 9]) | st.integers(1, 10))
+    weights = draw(st.lists(_TABLE_WEIGHTS, min_size=n, max_size=n))
+    elements = draw(st.lists(_TABLE_WEIGHTS, min_size=3, max_size=3))
+    covers = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+    coverage = draw(st.booleans())
+    shift = draw(st.sampled_from([0.0, 0.0, 0.5, 2.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    values = []
+    for mask in range(1 << n):
+        members = [k for k in range(n) if mask >> k & 1]
+        if coverage:
+            covered = reduce(or_, (covers[k] for k in members), 0)
+            value = left_sum(elements[e] for e in range(3) if covered >> e & 1)
+        else:
+            value = left_sum(weights[k] for k in members)
+        values.append(value + rng.randint(-2, 2) * shift * TOL if members else 0.0)
+    for _ in range(draw(st.integers(0, 3))):
+        mask = rng.randrange(1, 1 << n)
+        values[mask] = draw(st.sampled_from(
+            [0.0, -0.0, values[mask] + 1e-9, values[mask] - 1.0, values[mask] + 1.0]))
+    ids = [f"t{k}" for k in range(n)]
+    table = {",".join(ids[k] for k in range(n) if mask >> k & 1): value
+             for mask, value in enumerate(values)}
+    return Instance(tuple(Item(i, 1 + k % 3) for k, i in enumerate(ids)),
+                    TableOracle(table))
+
+
+def _lemma_outcome(check, instance, trials: int, seed: int = 0):
+    """A curvature-lemma report as to_dict() and repr(worst_slack), which
+    tells 0.0 from -0.0, or the type and text of the error raised."""
+    try:
+        report = check(instance, trials, seed)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return report.to_dict(), repr(report.worst_slack)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_random_table())
+def test_random_tables_match_reference(instance):
+    assert validate_oracle(instance) == reference_scan_oracle(
+        instance.oracle, list(instance.ids), exhaustive=True)
+    assert _lemma_outcome(check_curvature_lemma, instance, 100) \
+        == _lemma_outcome(reference_curvature_lemma, instance, 100)
+
+
+def _signed_zero_table(rule: int) -> Instance:
+    """Nine items worth 1.0 alone and 0.0 or -0.0 together, so c = 1 and
+    a few sampled trials can leave a zero of either sign as the worst slack."""
+    ids = [f"z{k}" for k in range(9)]
+    values = {}
+    for mask in range(1 << 9):
+        members = [ids[k] for k in range(9) if mask >> k & 1]
+        zero = -0.0 if (mask * 2654435761 + rule) % 3 == 0 else 0.0
+        values[",".join(members)] = 1.0 if len(members) == 1 else zero
+    return Instance(tuple(Item(i, 1) for i in ids), TableOracle(values))
+
+
+def test_signed_zero_worst_slack_matches_reference():
+    seen = set()
+    for rule in range(4):
+        instance = _signed_zero_table(rule)
+        for trials in (1, 2):
+            for seed in range(3):
+                want = _lemma_outcome(reference_curvature_lemma, instance, trials, seed)
+                assert _lemma_outcome(check_curvature_lemma, instance, trials, seed) == want
+                seen.add(want[1])
+    assert {"0.0", "-0.0"} <= seen
+
+
+def test_lemma_past_int64_masks_matches_reference():
+    # 70 items: the sampled masks are Python ints in object arrays
+    ids = [f"u{k:02d}" for k in range(70)]
+    instance = Instance(tuple(Item(i, 1 + k % 4) for k, i in enumerate(ids)),
+                        _EvenSizeBonus(ids))
+    outcome = _lemma_outcome(check_curvature_lemma, instance, 50, 3)
+    assert outcome[0]["failures"]
+    assert outcome == _lemma_outcome(reference_curvature_lemma, instance, 50, 3)

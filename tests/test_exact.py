@@ -87,6 +87,35 @@ def test_fresh_opt_builds_its_table_without_evaluate(monkeypatch):
     assert (calls, values) == (0, 2 ** 8)
 
 
+def test_sampled_lemma_values_each_drawn_subset_once_and_leaves_the_memo(monkeypatch):
+    inst = generate_instance(GeneratorSpec("coverage", n=13, seed=0))
+    curvature(inst)
+    memo = dict(inst.oracle._cache)
+    valued = Counter()
+    value = CoverageOracle._value
+
+    def counting_value(self, s):
+        valued[s] += 1
+        return value(self, s)
+
+    monkeypatch.setattr(CoverageOracle, "_value", counting_value)
+    assert check_curvature_lemma(inst, trials=300).notes == ("mode=sampled",)
+    assert inst.oracle._cache == memo
+    assert valued and set(valued.values()) == {1}
+
+
+def test_opt_with_sizes_past_int64():
+    # subset totals beyond int64 keep Python ints; capacities beyond the
+    # total admit every subset
+    big = 2 ** 62
+    inst = Instance((Item("a", big), Item("b", big + 1), Item("c", 1)),
+                    ModularOracle({"a": 1.0, "b": 2.0, "c": 0.5}))
+    assert brute_force_opt(inst, big + 1).items == {"b"}
+    full = brute_force_opt(inst, 10 ** 30)
+    assert (full.items, full.value, full.total_size) == ({"a", "b", "c"}, 3.5, 2 * big + 2)
+    assert type(full.total_size) is int
+
+
 def test_verify_computes_curvature_once_and_scans_once_per_breakpoint(
         monkeypatch, tmp_path):
     spec = next(s for s in corpus_specs() if s.kind == "planted" and s.seed == 6)
