@@ -38,8 +38,16 @@ def _check_c(c: float) -> float:
     return float(c)
 
 
+def prefix_bound(c: float, z: float) -> float:
+    """The prefix bound (1/c)(1 - exp(-cz)) of Theorem 6, or its analytic
+    limit z as c -> 0 for c <= _C_LIMIT."""
+    if c <= _C_LIMIT:
+        return z
+    return (1.0 - math.exp(-c * z)) / c
+
+
 def _gap(c: float, z: float) -> float:
-    return (1.0 - math.exp(-c * z)) / c - (1.0 - z) / (2.0 - (2.0 - c) * z)
+    return prefix_bound(c, z) - (1.0 - z) / (2.0 - (2.0 - c) * z)
 
 
 def solve_x(c: float) -> float:

@@ -66,8 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every checker against an instance")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("--trials", type=int, default=2000,
-                   help="random trials per curvature inequality")
-    p.add_argument("--seed", type=int, default=0)
+                   help="random trials per curvature inequality, "
+                   f"at most {exact.MAX_LEMMA_TRIALS}")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the curvature lemma's random trials "
+                   f"(more than {exact.MAX_CURVATURE_EXHAUSTIVE} items)")
     return parser
 
 
@@ -153,13 +156,14 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    report = validate_oracle(instance, seed=args.seed)
+    report = validate_oracle(instance)
     if report.ok:  # refuse before any outcome is printed
         instance = normalize_instance(instance)
         caps = exact.breakpoints(instance)
         curvature(instance)
-    if args.trials < 1:
-        raise ConfigurationError("--trials must be at least 1")
+    if not 1 <= args.trials <= exact.MAX_LEMMA_TRIALS:
+        raise ConfigurationError(
+            f"--trials must lie in [1, {exact.MAX_LEMMA_TRIALS}], got {args.trials}")
     failed = False
 
     def outcome(name: str, ok: bool, detail: str = "") -> None:

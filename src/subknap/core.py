@@ -10,21 +10,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 TOL = 1e-9
 
-#: validation is exhaustive up to this many items and for every table;
-#: above it, it takes VALIDATE_SAMPLES seeded samples per condition
-MAX_VALIDATE_EXHAUSTIVE = 12
-VALIDATE_SAMPLES = 2000
+#: exhaustive routines (the subset table and everything that reads it, the
+#: breakpoints and the checkers) refuse instances with more items
+MAX_EXHAUSTIVE_ITEMS = 22
 #: base masks per block of the exhaustive scan, which bounds its arrays
 _SCAN_ROWS = 1024
 
@@ -38,6 +36,10 @@ class ConfigurationError(ValueError):
 
 class OracleValidationError(ValueError):
     """An oracle failed a normalization, monotonicity, or submodularity check."""
+
+
+class GuardError(RuntimeError):
+    """Instance too large for exhaustive enumeration."""
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,9 @@ class Instance:
         Instances and their oracles are immutable, so what is derived from
         them is computed once per instance: the validation verdict, greedy
         orders, the start list, singletons, the subset table (every subset's
-        value, read in place of the memo; see subset_values), breakpoints,
-        curvature and the optimum per capacity.
+        value, which validation, the curvature lemma and the optimum read in
+        place of the memo), breakpoints, curvature and the optimum per
+        capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -441,47 +444,34 @@ def size_breakpoints(items: Iterable[Item]) -> tuple[int, ...]:
     return tuple(sorted(sums))
 
 
+def guard_exhaustive(instance: Instance) -> None:
+    """Refuse an instance too large for the exhaustive routines."""
+    if instance.n > MAX_EXHAUSTIVE_ITEMS:
+        raise GuardError(
+            f"exhaustive routines accept at most {MAX_EXHAUSTIVE_ITEMS} items, "
+            f"got {instance.n}")
+
+
 def subset_table(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The value (float64) and the total size (int64) of every subset as
     numpy arrays indexed by bitmask (see Instance.subset).  Built once per
     instance from the oracle's uncached value function, so the values are
-    the oracle's floats and the memo keeps no copy of them.  Exhaustive
-    validation, the curvature lemma (through subset_values) and the optimum
-    read these arrays.  Sizes whose total exceeds int64 stay Python ints."""
+    the oracle's floats and the memo keeps no copy of them.  Validation, the
+    curvature lemma and the optimum read these arrays.  Sizes whose total
+    exceeds int64 stay Python ints.  It allocates 2^n rows, so it refuses
+    more than MAX_EXHAUSTIVE_ITEMS items."""
+    guard_exhaustive(instance)
+
     def build():
-        values = _oracle_values(instance, range(1 << instance.n))
+        value, subset, count = instance.oracle._value, instance.subset, 1 << instance.n
+        values = np.fromiter((value(frozenset(subset(m))) for m in range(count)),
+                             dtype=np.float64, count=count)
         total = instance.total_size(instance.ids)
         sizes = np.zeros(1, dtype=np.int64 if total <= np.iinfo(np.int64).max else object)
         for size in map(instance.size, instance.ids):
             sizes = np.concatenate((sizes, sizes + size))
         return values, sizes
     return instance.cached("subset_table", build)
-
-
-def _checks_every_subset(instance: Instance) -> bool:
-    """Whether validation is exhaustive: for n <= 12 and every table."""
-    return instance.n <= MAX_VALIDATE_EXHAUSTIVE or instance.oracle.needs_validation
-
-
-def subset_values(instance: Instance, masks: np.ndarray) -> np.ndarray:
-    """f at each subset of an array of bitmasks, as float64.  It reads the
-    subset table where validation checks every subset; elsewhere it values
-    each distinct mask once through the oracle's uncached value function, so
-    a sampled check values only the subsets it draws and leaves the memo
-    alone."""
-    if _checks_every_subset(instance):
-        return subset_table(instance)[0][masks]
-    distinct, inverse = np.unique(masks, return_inverse=True)
-    found = _oracle_values(instance, distinct.tolist())
-    return found[inverse.reshape(masks.shape)]
-
-
-def _oracle_values(instance: Instance, masks: Sequence[int]) -> np.ndarray:
-    """f of each subset named by a bitmask, from the oracle's uncached value
-    function."""
-    value = instance.oracle._value
-    return np.fromiter((value(frozenset(instance.subset(m))) for m in masks),
-                       dtype=np.float64, count=len(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -505,63 +495,36 @@ class ValidationReport:
     monotone: bool
     submodular: bool
     first_violation: Violation | None
-    mode: str  # "exhaustive" | "sampled"
+    mode: str  # always "exhaustive"
 
     @property
     def ok(self) -> bool:
         return self.normalized and self.monotone and self.submodular
 
 
-def _scan_oracle(instance: Instance, exhaustive: bool, seed: int = 0) -> ValidationReport:
+def _scan_oracle(instance: Instance) -> ValidationReport:
     # subsets and items are bitmasks over instance.ids, an item one bit
-    n, subset = instance.n, instance.subset
-    if exhaustive:
-        values = subset_table(instance)[0]
-        value = lambda mask: values[mask].item()
-    else:
-        value = lambda mask: instance.oracle.evaluate(subset(mask))
+    subset = instance.subset
+    values = subset_table(instance)[0]
+    value = lambda mask: values[mask].item()
     found: list[Violation] = []  # at most one per condition, in check order
     empty = value(0)
     if not values_close(empty, 0.0):
         found.append(Violation("normalized", (), (), abs(empty)))
 
-    if exhaustive:
-        mono_cases, sub_cases = _table_violations(n, values)
-    else:
-        rng = random.Random(seed)
-
-        def _mono_sample():
-            for _ in range(VALIDATE_SAMPLES):
-                u = rng.choice(range(n))
-                yield sum(1 << i for i in range(n) if i != u and rng.random() < 0.5), 1 << u
-
-        def _sub_sample():
-            for _ in range(VALIDATE_SAMPLES):
-                u1, u2 = rng.sample(range(n), 2)
-                a = sum(1 << i for i in range(n) if i not in (u1, u2) and rng.random() < 0.5)
-                yield a, 1 << min(u1, u2), 1 << max(u1, u2)
-
-        mono_cases = _mono_sample()
-        sub_cases = _sub_sample()
-
+    mono_cases, sub_cases = _table_violations(instance.n, values)
     for a, u in mono_cases:
-        before, after = value(a), value(a | u)
-        if value_gt(before, after):
-            found.append(Violation("monotone", subset(a), subset(u), before - after))
-            break
-
+        found.append(Violation("monotone", subset(a), subset(u), value(a) - value(a | u)))
     # pairwise diminishing-returns condition on every set and item pair
     for a, u1, u2 in sub_cases:
         lhs = value(a | u1) + value(a | u2)
         rhs = value(a | u1 | u2) + value(a)
-        if value_gt(rhs, lhs):
-            found.append(Violation("submodular", subset(a), subset(u1 | u2), rhs - lhs))
-            break
+        found.append(Violation("submodular", subset(a), subset(u1 | u2), rhs - lhs))
 
     failed = {v.kind for v in found}
     return ValidationReport("normalized" not in failed, "monotone" not in failed,
                             "submodular" not in failed, found[0] if found else None,
-                            "exhaustive" if exhaustive else "sampled")
+                            "exhaustive")
 
 
 def _table_violations(n: int, values: np.ndarray) -> tuple[list, list]:
@@ -591,18 +554,14 @@ def _table_violations(n: int, values: np.ndarray) -> tuple[list, list]:
     return mono, sub
 
 
-def validate_oracle(instance: Instance, seed: int = 0) -> ValidationReport:
+def validate_oracle(instance: Instance) -> ValidationReport:
     """Check normalization, monotonicity, and submodularity.
 
-    Exhaustive over the subset table for n <= 12 and for every table (at
-    most 16 items), and then computed once per instance; larger instances
-    are spot-checked with seeded random samples and the report's mode flags
-    this.
+    Exhaustive over the subset table: every subset, every item and every
+    item pair, computed once per instance.  Like the table, it refuses more
+    than MAX_EXHAUSTIVE_ITEMS items with GuardError.
     """
-    if _checks_every_subset(instance):
-        return instance.cached("validation",
-                               lambda: _scan_oracle(instance, exhaustive=True))
-    return _scan_oracle(instance, exhaustive=False, seed=seed)
+    return instance.cached("validation", lambda: _scan_oracle(instance))
 
 
 def check_oracle(instance: Instance) -> None:

@@ -6,8 +6,9 @@ and the worst case over capacities is evaluated exactly by visiting every
 subset-sum breakpoint, since integer sizes make each half-open capacity
 interval behave like its left endpoint.  The curvature lemma builds the
 bitmasks of all its trials as numpy arrays, reads their values from the same
-table (or, above 12 items, from the oracle; see core.subset_values) and
-checks every trial as one array operation.
+table and checks every trial as one array operation.  Validation reads the
+table too (core.validate_oracle), and everything here refuses more than
+MAX_EXHAUSTIVE_ITEMS items with GuardError.
 """
 
 from __future__ import annotations
@@ -20,26 +21,19 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import bounds
-from .core import (Instance, TOL, check_capacity, check_oracle, curvature,
+# the guard lives in core, next to the subset table; exact.GuardError and
+# exact.MAX_EXHAUSTIVE_ITEMS stay importable from here
+from .core import (MAX_EXHAUSTIVE_ITEMS, GuardError, Instance, TOL,  # noqa: F401
+                   check_capacity, check_oracle, curvature, guard_exhaustive,
                    instance_digest, size_breakpoints, sorted_ids, subset_table,
-                   subset_values, value_ge, value_ge_array, values_close)
+                   value_ge, value_ge_array, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
 
-MAX_EXHAUSTIVE_ITEMS = 22
 MAX_CURVATURE_EXHAUSTIVE = 8
-
-
-class GuardError(RuntimeError):
-    """Instance too large for exhaustive enumeration."""
-
-
-def _guard(instance: Instance) -> None:
-    if instance.n > MAX_EXHAUSTIVE_ITEMS:
-        raise GuardError(
-            f"exhaustive routines accept at most {MAX_EXHAUSTIVE_ITEMS} items, "
-            f"got {instance.n}")
+#: the sampled curvature lemma holds every trial's draws and masks at once
+MAX_LEMMA_TRIALS = 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +42,7 @@ def _guard(instance: Instance) -> None:
 def brute_force_opt(instance: Instance, gamma: int) -> Solution:
     """Best feasible subset by full enumeration; value ties go to the
     lexicographically smallest id sequence; one scan per capacity."""
-    _guard(instance)
+    guard_exhaustive(instance)
     gamma = check_capacity(gamma)
     check_oracle(instance)
     return instance.cached(("opt", gamma), lambda: _scan_opt(instance, gamma))
@@ -79,7 +73,7 @@ def _scan_opt(instance: Instance, gamma: int) -> Solution:
 
 def breakpoints(instance: Instance) -> tuple[int, ...]:
     """Ascending capacities at which any algorithm's behavior can change."""
-    _guard(instance)
+    guard_exhaustive(instance)
     return instance.cached("breakpoints", lambda: size_breakpoints(instance.items))
 
 
@@ -220,18 +214,14 @@ class _Recorder:
 def check_theorem6(instance: Instance, gamma: int) -> CheckReport:
     """Every fitting greedy prefix reaches the curvature-dependent fraction
     of the optimum: f(G_j) >= (1/c)(1 - exp(-c s(G_j)/gamma)) f(OPT)."""
-    _guard(instance)
+    guard_exhaustive(instance)
     gamma = check_capacity(gamma)
     c = curvature(instance)
     opt = brute_force_opt(instance, gamma).value
     run = greedy_sequence(instance, gamma)
     rec = _Recorder()
     for j in range(1, run.k + 1):
-        z = run.prefix_sizes[j - 1] / gamma
-        if c <= TOL:
-            factor = z  # analytic limit of (1/c)(1 - exp(-c z)) as c -> 0
-        else:
-            factor = (1.0 - math.exp(-c * z)) / c
+        factor = bounds.prefix_bound(c, run.prefix_sizes[j - 1] / gamma)
         fj, bound = instance.value(run.prefix(j)), factor * opt
         rec.observe(lambda: f"gamma={gamma} j={j}: f(G_j)={fj!r} bound={bound!r}",
                     fj, bound)
@@ -248,7 +238,7 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
     skipped, mirroring the excluded trivial case; denominator degeneracies
     are skipped and noted as well.
     """
-    _guard(instance)
+    guard_exhaustive(instance)
     gamma = check_capacity(gamma)
     c = curvature(instance)
     run = greedy_sequence(instance, gamma)
@@ -307,19 +297,23 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
     """Curvature bounds on marginals plus the marginal-sum upper bound.
 
     Exhaustive over all qualifying set pairs for n <= MAX_CURVATURE_EXHAUSTIVE,
-    seeded random samples otherwise.  Three families are checked:
+    `trials` seeded random samples per family otherwise.  Three families:
       marginal_lower:      (1-c) f({j}) <= f(A + j) - f(A)
       disjoint_union:      f(A + B) >= f(A) + (1-c) sum of f({i}), i in B
       marginal_sum_upper:  f(B) <= f(A) + sum of marginals of B - A on A
     The sets of all trials are numpy arrays of bitmasks over instance.ids,
-    valued by one core.subset_values call and checked as array operations.
+    valued from core.subset_table and checked as array operations.  It
+    refuses more than MAX_EXHAUSTIVE_ITEMS items (GuardError) and more than
+    MAX_LEMMA_TRIALS trials (ValueError), which bounds its memory: at 22
+    items and 10^5 trials a process peaks at about 330 MB ru_maxrss, 135 MB
+    of it the subset table (CPython 3.11, numpy 2.4).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    guard_exhaustive(instance)
+    if not 1 <= trials <= MAX_LEMMA_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_LEMMA_TRIALS}], got {trials}")
     c = curvature(instance)
     n, subset = instance.n, instance.subset
-    # masks of more than 62 items do not fit int64
-    bit = np.array([1 << i for i in range(n)], dtype=np.int64 if n < 63 else object)
+    bit = 1 << np.arange(n, dtype=np.int64)
 
     if n <= MAX_CURVATURE_EXHAUSTIVE:
         # marginal_lower: every (A, j) with j outside A, ordered by A, then j
@@ -361,8 +355,9 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
     a, b = (in_a * bit).sum(axis=1), (in_b * bit).sum(axis=1)
     # A + i for each i in B, and A itself where i is not in B
     a_plus = np.where(in_b, a[:, None] | bit, a[:, None])
-    f_bit, f_ml_a, f_ml_aj, f_a, f_ab, f_a_plus = _values_at(
-        instance, bit, ml_a, ml_a | bit[ml_j], a, a | b, a_plus)
+    f = subset_table(instance)[0]
+    f_bit, f_ml_a, f_ml_aj, f_a, f_ab, f_a_plus = (
+        f[bit], f[ml_a], f[ml_a | bit[ml_j]], f[a], f[a | b], f[a_plus])
 
     with np.errstate(all="ignore"):
         sides = ((f_ml_aj - f_ml_a, (1.0 - c) * f_bit[ml_j]),
@@ -384,14 +379,6 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
                      for k in np.flatnonzero(~value_ge_array(lhs, rhs)).tolist())
     return CheckReport("curvature_lemma", len(slack), failures, _running_min(slack),
                        notes=(f"mode={mode}",), counts=dict(zip(_LEMMA_FAMILIES, sizes)))
-
-
-def _values_at(instance: Instance, *masks: np.ndarray) -> list[np.ndarray]:
-    """f at every mask of each array, from one core.subset_values call, so a
-    subset drawn twice is valued once."""
-    flat = subset_values(instance, np.concatenate([m.ravel() for m in masks]))
-    ends = np.cumsum([m.size for m in masks])
-    return [flat[end - m.size:end].reshape(m.shape) for m, end in zip(masks, ends)]
 
 
 def _left_fold(terms: np.ndarray) -> np.ndarray:

@@ -22,6 +22,11 @@ KINDS = ("modular", "coverage", "concave_modular", "planted")
 
 _PLANT_RETRIES = 100
 
+#: a generated instance is built in memory: at most this many items, and for
+#: coverage at most MAX_COVER_CELLS item-element pairs (n * element_count)
+MAX_ITEMS = 10 ** 5
+MAX_COVER_CELLS = 10 ** 7
+
 
 class GenerationError(RuntimeError):
     """Generation could not satisfy its postcondition."""
@@ -42,6 +47,8 @@ class GeneratorSpec:
             raise GenerationError(f"unknown generator kind {self.kind!r}")
         if self.n < 1 or (self.kind == "planted" and self.n < 2):
             raise GenerationError(f"n={self.n} too small for kind {self.kind!r}")
+        if self.n > MAX_ITEMS:
+            raise GenerationError(f"n={self.n} exceeds the limit of {MAX_ITEMS} items")
         # planted draws weights up to 250 * size_max tenths as int64
         if not 1 <= self.size_max <= 2 ** 53:
             raise GenerationError(f"size_max must lie in [1, 2**53], got {self.size_max}")
@@ -51,6 +58,10 @@ class GeneratorSpec:
             raise GenerationError(
                 f"cover density must be a finite number in [0, 1], "
                 f"got {self.cover_density!r}")
+        if self.kind == "coverage" and self.n * self.element_count > MAX_COVER_CELLS:
+            raise GenerationError(
+                f"elements={self.element_count} with n={self.n} gives more than "
+                f"{MAX_COVER_CELLS} item-element cells")
 
     @property
     def element_count(self) -> int:  # coverage: elements, by default max(2, n)

@@ -4,7 +4,7 @@ import bisect
 import random
 from itertools import combinations
 
-from subknap.core import (VALIDATE_SAMPLES, CoverageOracle, Instance, Item,
+from subknap.core import (CoverageOracle, Instance, Item,
                           ModularOracle, TableOracle, ValidationReport,
                           ValueOracle, Violation, curvature, left_sum,
                           size_breakpoints, sorted_ids, value_gt, values_close)
@@ -275,35 +275,19 @@ def _reference_subsets(ids: list[str]):
         yield frozenset(ids[i] for i in range(n) if mask >> i & 1)
 
 
-def reference_scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
-                          seed: int = 0) -> ValidationReport:
-    """The validation scan: exhaustive, or VALIDATE_SAMPLES seeded samples."""
+def reference_scan_oracle(oracle: ValueOracle, ids: list[str],
+                          exhaustive: bool = True) -> ValidationReport:
+    """The validation scan over every subset, item and item pair; the
+    library has no other, so `exhaustive` must be True."""
+    assert exhaustive
     found: list[Violation] = []
     empty = oracle.evaluate(())
     if not values_close(empty, 0.0):
         found.append(Violation("normalized", (), (), abs(empty)))
 
-    if exhaustive:
-        mono_cases = ((a, u) for a in _reference_subsets(ids) for u in ids if u not in a)
-        sub_cases = ((a, u1, u2) for a in _reference_subsets(ids)
-                     for u1, u2 in combinations([i for i in ids if i not in a], 2))
-    else:
-        rng = random.Random(seed)
-
-        def _mono_sample():
-            for _ in range(VALIDATE_SAMPLES):
-                u = rng.choice(ids)
-                a = frozenset(i for i in ids if i != u and rng.random() < 0.5)
-                yield a, u
-
-        def _sub_sample():
-            for _ in range(VALIDATE_SAMPLES):
-                u1, u2 = rng.sample(ids, 2)
-                a = frozenset(i for i in ids if i not in (u1, u2) and rng.random() < 0.5)
-                yield a, min(u1, u2), max(u1, u2)
-
-        mono_cases = _mono_sample()
-        sub_cases = _sub_sample()
+    mono_cases = ((a, u) for a in _reference_subsets(ids) for u in ids if u not in a)
+    sub_cases = ((a, u1, u2) for a in _reference_subsets(ids)
+                 for u1, u2 in combinations([i for i in ids if i not in a], 2))
 
     for a, u in mono_cases:
         before, after = oracle.evaluate(a), oracle.evaluate(a | {u})
@@ -321,7 +305,7 @@ def reference_scan_oracle(oracle: ValueOracle, ids: list[str], exhaustive: bool,
     failed = {v.kind for v in found}
     return ValidationReport("normalized" not in failed, "monotone" not in failed,
                             "submodular" not in failed, found[0] if found else None,
-                            "exhaustive" if exhaustive else "sampled")
+                            "exhaustive")
 
 
 def reference_curvature_lemma(instance: Instance, trials: int = 10000,

@@ -9,6 +9,7 @@ from subknap.cli import main
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           TableOracle, curvature, instance_from_dict,
                           instance_to_dict, load_instance, save_instance)
+from subknap.exact import MAX_LEMMA_TRIALS
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.policy import start_item_list
 
@@ -84,8 +85,11 @@ def test_gen_concave_exponent_one_is_modular(tmp_path):
     (["--kind", "coverage", "--n", "4", "--density", "2"], "density"),
     (["--kind", "planted", "--n", "4", "--size-max", "9007199254740993"],
      "size_max"),
+    (["--kind", "modular", "--n", "100000001"], "n="),
+    (["--kind", "coverage", "--n", "2", "--elements", "300000000"], "elements"),
 ], ids=["n_1", "elements_0", "elements_negative", "density_nan",
-        "density_negative", "density_above_1", "size_max_above_2_53"])
+        "density_negative", "density_above_1", "size_max_above_2_53",
+        "n_above_limit", "cover_cells_above_limit"])
 def test_gen_bad_knobs_exit_2(knobs, named, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["gen", *knobs, "-o", str(out)]) == 2
@@ -278,8 +282,9 @@ def test_verify_bad_table_exit_1_with_witness(bad_table_file, capsys):
     assert "submodular violated" in out
 
 
-@pytest.mark.parametrize("n, extra", [(23, []), (4, ["--trials", "0"])],
-                         ids=["n_23", "trials_0"])
+@pytest.mark.parametrize("n, extra", [(23, []), (4, ["--trials", "0"]),
+                                      (4, ["--trials", str(MAX_LEMMA_TRIALS + 1)])],
+                         ids=["n_23", "trials_0", "trials_above_limit"])
 def test_verify_refuses_before_printing(n, extra, tmp_path, capsys):
     path = tmp_path / "x.json"
     save_instance(generate_instance(GeneratorSpec("modular", n=n)), path)

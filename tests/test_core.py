@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ex1, ex2, ex3, superadditive_table, zero_item_supermodular
-from subknap.core import (TOL, ConfigurationError, Instance, Item,
+from subknap.core import (TOL, ConfigurationError, GuardError, Instance, Item,
                           ModularOracle, OracleValidationError, TableOracle,
-                          curvature, evaluate, instance_digest,
+                          ValueOracle, Violation, curvature, evaluate, instance_digest,
                           instance_from_dict, instance_to_dict, load_instance,
                           make_concave_modular_oracle, make_coverage_oracle,
                           make_modular_oracle, make_table_oracle,
@@ -150,10 +150,30 @@ def test_validate_superadditive_table():
     assert v.slack == pytest.approx(1.0)
 
 
-def test_validate_sampled_mode_above_twelve_items():
+def test_validate_exhaustive_up_to_the_guard():
     inst = generate_instance(GeneratorSpec("modular", n=13, seed=2))
     report = validate_oracle(inst)
-    assert report.ok and report.mode == "sampled"
+    assert report.ok and report.mode == "exhaustive"
+    with pytest.raises(GuardError):
+        validate_oracle(generate_instance(GeneratorSpec("modular", n=23, seed=2)))
+
+
+class _LoneBonus(ValueOracle):
+    """|S|, plus 0.5 on S = {i00} alone: monotone, and submodular everywhere
+    except at A = {i00}, which few random samples draw."""
+
+    def _value(self, s: frozenset[str]) -> float:
+        return len(s) + (0.5 if s == {"i00"} else 0.0)
+
+
+def test_validate_finds_a_lone_violation_at_thirteen_items():
+    ids = [f"i{k:02d}" for k in range(13)]
+    inst = Instance(tuple(Item(i, 1) for i in ids), _LoneBonus(ids))
+    report = validate_oracle(inst)
+    assert (report.normalized, report.monotone, report.submodular) == (True, True, False)
+    assert report.first_violation == Violation("submodular", ("i00",), ("i01", "i02"), 0.5)
+    assert str(report.first_violation) == \
+        "submodular violated at A=['i00'] items=['i01', 'i02'] slack=0.5"
 
 
 def test_parametric_oracles_validate_on_random_instances():

@@ -20,7 +20,7 @@ from helpers import (reference_curvature_lemma, reference_greedy,
                      reference_scan_oracle, reference_start_list,
                      reference_subset_table, sneaky_bad_table,
                      superadditive_table, zero_item_supermodular)
-from subknap.core import (MAX_VALIDATE_EXHAUSTIVE, TOL, CoverageOracle, Instance,
+from subknap.core import (TOL, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
                           instance_to_dict, left_sum, normalize_instance,
@@ -260,8 +260,8 @@ def test_near_tie_opt_matches_reference_at_every_capacity(instance):
 
 # ---------------------------------------------------------------------------
 # validation and the curvature lemma name subsets by bitmask and read their
-# values from the subset table or the oracle; the frozenset scans they
-# replaced must give equal reports, witnesses, slacks and counts
+# values from the subset table; the frozenset scans they replaced must give
+# equal reports, witnesses, slacks and counts
 
 def _outcome(check, *args):
     """What a check returns, or the type and text of the error it raises."""
@@ -273,10 +273,8 @@ def _outcome(check, *args):
 
 
 def _assert_checks_match_reference(instance, trials: int = 500) -> None:
-    exhaustive = (instance.n <= MAX_VALIDATE_EXHAUSTIVE
-                  or instance.oracle.needs_validation)
     assert validate_oracle(instance) == reference_scan_oracle(
-        instance.oracle, list(instance.ids), exhaustive)
+        instance.oracle, list(instance.ids))
     assert _outcome(check_curvature_lemma, instance, trials) \
         == _outcome(reference_curvature_lemma, instance, trials)
 
@@ -321,7 +319,7 @@ def test_unchecked_supermodular_oracle_matches_reference():
     instance = Instance(tuple(Item(i, 1 + k % 4) for k, i in enumerate(ids)),
                         _EvenSizeBonus(ids))
     report = validate_oracle(instance)
-    assert (report.mode, report.monotone, report.submodular) == ("sampled", False, False)
+    assert (report.mode, report.monotone, report.submodular) == ("exhaustive", False, False)
     assert check_curvature_lemma(instance, 2000).failures
     _assert_checks_match_reference(instance)
 
@@ -409,12 +407,3 @@ def test_signed_zero_worst_slack_matches_reference():
                 seen.add(want[1])
     assert {"0.0", "-0.0"} <= seen
 
-
-def test_lemma_past_int64_masks_matches_reference():
-    # 70 items: the sampled masks are Python ints in object arrays
-    ids = [f"u{k:02d}" for k in range(70)]
-    instance = Instance(tuple(Item(i, 1 + k % 4) for k, i in enumerate(ids)),
-                        _EvenSizeBonus(ids))
-    outcome = _lemma_outcome(check_curvature_lemma, instance, 50, 3)
-    assert outcome[0]["failures"]
-    assert outcome == _lemma_outcome(reference_curvature_lemma, instance, 50, 3)

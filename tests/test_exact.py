@@ -11,7 +11,7 @@ from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           OracleValidationError, TableOracle, ValueOracle,
                           curvature, instance_from_dict, instance_to_dict,
                           save_instance)
-from subknap.exact import (GuardError, breakpoints, brute_force_opt,
+from subknap.exact import (MAX_LEMMA_TRIALS, GuardError, breakpoints, brute_force_opt,
                            check_curvature_lemma, check_indispensable_properties,
                            check_lemma2, check_theorem6, robustness_sweep)
 from subknap.generate import GeneratorSpec, generate_instance
@@ -149,6 +149,12 @@ def test_exhaustive_guard_rejects_large_instances():
         breakpoints(inst)
     with pytest.raises(GuardError):
         robustness_sweep(inst)
+    with pytest.raises(GuardError):
+        core.validate_oracle(inst)
+    with pytest.raises(GuardError):
+        check_curvature_lemma(inst)
+    with pytest.raises(GuardError):
+        core.subset_table(inst)
 
 
 def test_breakpoints_values():
@@ -338,6 +344,8 @@ def test_curvature_lemma_sampled_mode_counts():
 def test_curvature_lemma_requires_trials():
     with pytest.raises(ValueError):
         check_curvature_lemma(ex1(), trials=0)
+    with pytest.raises(ValueError):
+        check_curvature_lemma(ex1(), trials=MAX_LEMMA_TRIALS + 1)
 
 
 def test_check_report_serialization():
