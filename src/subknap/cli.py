@@ -155,15 +155,16 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = load_instance(args.instance)
-    report = validate_oracle(instance)
-    if report.ok:  # refuse before any outcome is printed
-        instance = normalize_instance(instance)
-        caps = exact.breakpoints(instance)
-        curvature(instance)
+    # refuse before any outcome is printed, and bad options before any work
     if not 1 <= args.trials <= exact.MAX_LEMMA_TRIALS:
         raise ConfigurationError(
             f"--trials must lie in [1, {exact.MAX_LEMMA_TRIALS}], got {args.trials}")
+    instance = load_instance(args.instance)
+    report = validate_oracle(instance)
+    if report.ok:
+        instance = normalize_instance(instance)
+        caps = exact.breakpoints(instance)
+        curvature(instance)
     failed = False
 
     def outcome(name: str, ok: bool, detail: str = "") -> None:

@@ -21,7 +21,12 @@ import numpy as np
 TOL = 1e-9
 
 #: exhaustive routines (the subset table and everything that reads it, the
-#: breakpoints and the checkers) refuse instances with more items
+#: breakpoints and the checkers) refuse instances with more items.  At 22
+#: items the table holds 2^22 rows (64 MB of values and sizes); building it,
+#: the optimum at every breakpoint and validation peak below 300 MB
+#: ru_maxrss in one process (213 MB modular, 294 MB coverage, seed 0), and
+#: the sampled curvature lemma at MAX_LEMMA_TRIALS at 250 MB (CPython 3.11,
+#: numpy 2.4, scripts/bench_exhaustive.py).  Each further item doubles that.
 MAX_EXHAUSTIVE_ITEMS = 22
 #: base masks per block of the exhaustive scan, which bounds its arrays
 _SCAN_ROWS = 1024
@@ -82,6 +87,22 @@ def left_sum(terms: Iterable[float]) -> float:
 def sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
     """Canonical ascending-id tuple for an item set."""
     return tuple(sorted(ids))
+
+
+def _mask_members(ids: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The members of ids named by a bitmask: bit i set means ids[i] is one."""
+    # bin() lists the bits from the highest: reversed without "0b", digit i is bit i
+    return tuple(compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+
+
+def _subset_sums(empty: np.ndarray, terms: Iterable) -> np.ndarray:
+    """The sum of every subset of terms, indexed by bitmask, starting from the
+    one-element array empty.  Each term doubles the array, so every sum adds
+    its members in ascending bit order, a left fold as left_sum takes it."""
+    sums = empty
+    for term in terms:
+        sums = np.concatenate((sums, sums + term))
+    return sums
 
 
 def check_capacity(gamma) -> int:
@@ -168,6 +189,14 @@ class ValueOracle:
     def _value(self, s: frozenset[str]) -> float:
         raise NotImplementedError
 
+    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
+        """_value of every subset of ids (the ascending domain) as float64,
+        indexed by bitmask (see Instance.subset); bypasses the memo.  This one
+        calls _value once per subset; parametric oracles fold instead."""
+        count = 1 << len(ids)
+        return np.fromiter((self._value(frozenset(_mask_members(ids, m)))
+                            for m in range(count)), dtype=np.float64, count=count)
+
     def gain_drift(self, steps: int) -> float:
         """How far an item's computed marginal gain on a set may exceed its
         gain computed on a subset with `steps` fewer items.
@@ -215,6 +244,9 @@ class ModularOracle(ValueOracle):
     def _value(self, s: frozenset[str]) -> float:
         return left_sum(self._weights[i] for i in sorted(s))
 
+    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
+        return _subset_sums(np.zeros(1), map(self._weights.get, ids))
+
     def restrict(self, ids: Iterable[str]) -> "ModularOracle":
         keep = frozenset(ids)
         return ModularOracle({i: w for i, w in self._weights.items() if i in keep})
@@ -246,6 +278,21 @@ class CoverageOracle(ValueOracle):
             covered.update(self._covers[i])
         return left_sum(self._element_weights[e] for e in sorted(covered))
 
+    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
+        # the mask of the items covering each element, then one left fold
+        # over the elements in sorted order; a row skips an element it does
+        # not cover, which leaves the bits of a sum that adding 0.0 would
+        covering: dict[str, int] = {}
+        for k, i in enumerate(ids):
+            for e in self._covers[i]:
+                covering[e] = covering.get(e, 0) | 1 << k
+        masks = np.arange(1 << len(ids), dtype=np.int64)
+        values = np.zeros(len(masks))
+        for e in sorted(covering):
+            np.add(values, self._element_weights[e], out=values,
+                   where=(masks & covering[e]) != 0)
+        return values
+
     def restrict(self, ids: Iterable[str]) -> "CoverageOracle":
         keep = frozenset(ids)
         return CoverageOracle(self._element_weights,
@@ -274,6 +321,12 @@ class ConcaveModularOracle(ValueOracle):
 
     def _value(self, s: frozenset[str]) -> float:
         return left_sum(self._weights[i] for i in sorted(s)) ** self._exponent
+
+    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
+        # Python's float power, which numpy's vectorised one need not match
+        sums = _subset_sums(np.zeros(1), map(self._weights.get, ids))
+        return np.fromiter((v ** self._exponent for v in sums.tolist()),
+                           dtype=np.float64, count=len(sums))
 
     def restrict(self, ids: Iterable[str]) -> "ConcaveModularOracle":
         keep = frozenset(ids)
@@ -415,8 +468,7 @@ class Instance:
     def subset(self, mask: int) -> tuple[str, ...]:
         """Ascending ids of the subset named by a bitmask over the ascending
         ids: bit i set means ids[i] is a member."""
-        # bin() lists the bits from the highest: reversed without "0b", digit i is bit i
-        return tuple(compress(self.ids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+        return _mask_members(self.ids, mask)
 
     def item(self, item_id: str) -> Item:
         return self._by_id[item_id]
@@ -455,22 +507,21 @@ def guard_exhaustive(instance: Instance) -> None:
 def subset_table(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The value (float64) and the total size (int64) of every subset as
     numpy arrays indexed by bitmask (see Instance.subset).  Built once per
-    instance from the oracle's uncached value function, so the values are
-    the oracle's floats and the memo keeps no copy of them.  Validation, the
-    curvature lemma and the optimum read these arrays.  Sizes whose total
-    exceeds int64 stay Python ints.  It allocates 2^n rows, so it refuses
-    more than MAX_EXHAUSTIVE_ITEMS items."""
+    instance without the memo, so the memo keeps no copy: sizes and modular
+    values by doubling the array once per id, coverage values by one fold
+    over the sorted elements, concave-modular values as Python powers of the
+    modular sums, and any other oracle (a table reads its dict) by one _value
+    call per subset.  Each value is the float _value gives, bit for bit.
+    Validation, the curvature lemma and the optimum read these arrays.  Sizes
+    whose total exceeds int64 stay Python ints.  It allocates 2^n rows, so it
+    refuses more than MAX_EXHAUSTIVE_ITEMS items."""
     guard_exhaustive(instance)
 
     def build():
-        value, subset, count = instance.oracle._value, instance.subset, 1 << instance.n
-        values = np.fromiter((value(frozenset(subset(m))) for m in range(count)),
-                             dtype=np.float64, count=count)
         total = instance.total_size(instance.ids)
-        sizes = np.zeros(1, dtype=np.int64 if total <= np.iinfo(np.int64).max else object)
-        for size in map(instance.size, instance.ids):
-            sizes = np.concatenate((sizes, sizes + size))
-        return values, sizes
+        empty = np.zeros(1, dtype=np.int64 if total <= np.iinfo(np.int64).max else object)
+        return (instance.oracle._subset_values(instance.ids),
+                _subset_sums(empty, map(instance.size, instance.ids)))
     return instance.cached("subset_table", build)
 
 

@@ -1,10 +1,13 @@
 """Exhaustive ground truth and checkers for the algorithm guarantees.
 
-Everything here enumerates: optima scan core's subset table, numpy arrays
-of one value (float64) and one size (int64) per subset indexed by bitmask,
-and the worst case over capacities is evaluated exactly by visiting every
-subset-sum breakpoint, since integer sizes make each half-open capacity
-interval behave like its left endpoint.  The curvature lemma builds the
+Everything here enumerates core's subset table, numpy arrays of one value
+(float64) and one size (int64) per subset indexed by bitmask.  The optimum
+at a capacity is the answer of one scan of every feasible subset, found from
+the table sorted once by size: a bisect gives the best feasible value, and
+the scan's tie rule is replayed over the rows within a narrow band below it
+(_scan_opt gives the argument).  The worst case over capacities is evaluated
+exactly by visiting every subset-sum breakpoint, since integer sizes make
+each half-open capacity interval behave like its left endpoint.  The curvature lemma builds the
 bitmasks of all its trials as numpy arrays, reads their values from the same
 table and checks every trial as one array operation.  Validation reads the
 table too (core.validate_oracle), and everything here refuses more than
@@ -13,6 +16,7 @@ MAX_EXHAUSTIVE_ITEMS items with GuardError.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ from . import bounds
 from .core import (MAX_EXHAUSTIVE_ITEMS, GuardError, Instance, TOL,  # noqa: F401
                    check_capacity, check_oracle, curvature, guard_exhaustive,
                    instance_digest, size_breakpoints, sorted_ids, subset_table,
-                   value_ge, value_ge_array, values_close)
+                   value_ge, value_ge_array, value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
@@ -41,20 +45,97 @@ MAX_LEMMA_TRIALS = 10 ** 5
 
 def brute_force_opt(instance: Instance, gamma: int) -> Solution:
     """Best feasible subset by full enumeration; value ties go to the
-    lexicographically smallest id sequence; one scan per capacity."""
+    lexicographically smallest id sequence; one search per capacity."""
     guard_exhaustive(instance)
     gamma = check_capacity(gamma)
     check_oracle(instance)
     return instance.cached(("opt", gamma), lambda: _scan_opt(instance, gamma))
 
 
+#: widths of the replayed band below the best feasible value, in units of
+#: TOL times the instance's scale; the last admits every feasible row
+_BAND_WIDTHS = (4.0, 64.0, math.inf)
+
+
+def _opt_index(instance: Instance) -> tuple:
+    """What the optimum at every capacity reads, built once per instance from
+    the rows of the subset table in a stable ascending order of size: the
+    sizes and values where the running maximum of the values rises (the best
+    value within a capacity is that of the last rise at or below it); the
+    scale, max(1, max |value|); and the near-record rows, those within the
+    first band width of the running maximum at their own place, as their
+    masks (ascending), sizes and values."""
+    def build():
+        values, sizes = subset_table(instance)
+        scale = max(1.0, np.abs(values).max().item())
+        order = np.argsort(sizes, kind="stable")
+        record = np.maximum.accumulate(values[order])
+        rises = np.concatenate(([0], np.flatnonzero(record[1:] > record[:-1]) + 1))
+        rise_sizes, rise_values = sizes[order[rises]], record[rises]
+        record -= _BAND_WIDTHS[0] * TOL * scale
+        near = np.sort(order[values[order] >= record])
+        return (rise_sizes.tolist(), rise_values.tolist(), scale,
+                (near, sizes[near], values[near]))
+    return instance.cached("opt_index", build)
+
+
 def _scan_opt(instance: Instance, gamma: int) -> Solution:
-    best = 0
-    best_value = 0.0
+    """The subset that one scan of every feasible row in ascending mask order
+    keeps, starting from the empty set at 0.0: a row replaces the best if it
+    beats it beyond the tolerance, or ties it within the tolerance with a
+    smaller id sequence.  That rule is not transitive, so the scan is
+    replayed (_replay) over a band, the feasible rows with value at least
+    L = M - w, where M is the best feasible value and w the band width.
+
+    The band gives the scan's answer whenever every value the replay holds
+    from its first row on is at least L + 2 TOL scale (twice the tolerance,
+    so that the rounding of the comparisons cannot matter):
+    - Before the first band row, the full scan has seen only rows below L.
+      It holds either the empty set at 0.0, as the replay does, or a row
+      below L, which the first band row beats beyond the tolerance once the
+      replay takes it.  Either way both take the same decision there.
+    - After that, both hold the same best, at least L + 2 TOL scale, which
+      no row below L can tie or beat, so the full scan skips every row the
+      replay does not see, and both take the same rows.
+    Where a held value falls lower, the band widens; the last width admits
+    every feasible row, which is the full scan itself.  Every feasible row
+    with value at least L is a near-record row, so the first band is read
+    from those alone."""
     values, sizes = subset_table(instance)
+    rise_sizes, rise_values, scale, near = _opt_index(instance)
     # clamped to the total size, the capacity fits the sizes' int64
-    feasible = np.flatnonzero(sizes <= min(gamma, sizes[-1]))
-    for mask, value in zip(feasible.tolist(), values[feasible].tolist()):
+    cap = min(gamma, int(sizes[-1]))
+    top = rise_values[bisect.bisect_right(rise_sizes, cap) - 1]
+    for width in _BAND_WIDTHS:
+        floor = top - width * TOL * scale
+        if width == _BAND_WIDTHS[0]:
+            masks, band_sizes, band_values = near
+            keep = (band_sizes <= cap) & (band_values >= floor)
+            masks, band_values = masks[keep], band_values[keep]
+        else:
+            masks = np.flatnonzero((sizes <= cap) & (values >= floor))
+            band_values = values[masks]
+        best, best_value, lowest = _replay(masks, band_values)
+        if lowest >= floor + 2 * TOL * scale:
+            break
+    return Solution(frozenset(instance.subset(best)), best_value, int(sizes[best]))
+
+
+def _replay(masks: np.ndarray, values: np.ndarray) -> tuple[int, float, float]:
+    """The scan rule over rows (ascending masks, not empty) from the empty
+    set at 0.0: the best mask, its value, and the lowest value held from the
+    first row on.  The first row is taken iff it beats 0.0 beyond the
+    tolerance.  If then all values lie pairwise within the tolerance (their
+    spread is at most half the smallest tolerance between two of them), every
+    later row ties, and the rows taken end at the lexicographically first."""
+    first = value_gt(values[0].item(), 0.0)
+    lo, hi = values.min().item(), values.max().item()
+    if first and hi - lo <= 0.5 * TOL * max(1.0, min(abs(lo), abs(hi))):
+        best = _lex_first(masks)
+        return best, values[np.searchsorted(masks, best)].item(), lo
+    best, best_value = 0, 0.0
+    lowest = math.inf if first else 0.0
+    for mask, value in zip(masks.tolist(), values.tolist()):
         if values_close(value, best_value):
             # a tie goes to the smaller id sequence.  The masks agree below
             # their lowest differing bit; best < mask, so mask's ids come
@@ -64,8 +145,21 @@ def _scan_opt(instance: Instance, gamma: int) -> Solution:
                 continue
         elif value < best_value:
             continue
-        best, best_value = mask, value
-    return Solution(frozenset(instance.subset(best)), best_value, int(sizes[best]))
+        best, best_value, lowest = mask, value, min(lowest, value)
+    return best, best_value, lowest
+
+
+def _lex_first(masks: np.ndarray) -> int:
+    """The mask (of ascending masks) whose ids come first lexicographically.
+    Each round keeps the masks whose next member after the common head is
+    the smallest id any of them holds there, until one mask is left or the
+    head itself, which comes before all its extensions, is the first."""
+    head = 0
+    while len(masks) > 1 and masks[0] != head:
+        rest = np.bitwise_or.reduce(masks) & ~head
+        head |= rest & -rest
+        masks = masks[masks & head == head]
+    return int(masks[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +399,8 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
     valued from core.subset_table and checked as array operations.  It
     refuses more than MAX_EXHAUSTIVE_ITEMS items (GuardError) and more than
     MAX_LEMMA_TRIALS trials (ValueError), which bounds its memory: at 22
-    items and 10^5 trials a process peaks at about 330 MB ru_maxrss, 135 MB
-    of it the subset table (CPython 3.11, numpy 2.4).
+    items and 10^5 trials a process peaks at about 250 MB ru_maxrss, 131 MB
+    of it the subset table (CPython 3.11, numpy 2.4, modular seed 0).
     """
     guard_exhaustive(instance)
     if not 1 <= trials <= MAX_LEMMA_TRIALS:
@@ -332,16 +426,7 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
         trial = np.concatenate((np.arange(len(ml_a)), np.repeat(np.arange(3 ** n), 2)))
         mode = "exhaustive"
     else:
-        # the draws of a trial, in the order that fixes a seed's samples: j,
-        # then one coin per other position, then one three-way draw each
-        rng = random.Random(seed)
-        choice, draw, positions, per_trial = rng.choice, rng.random, range(n), range(2 * n - 1)
-        ml_j, draws = [], []
-        for _ in range(trials):
-            ml_j.append(choice(positions))
-            draws += [draw() for _ in per_trial]
-        ml_j = np.array(ml_j)
-        draws = np.array(draws).reshape(trials, 2 * n - 1)
+        ml_j, draws = _lemma_draws(n, trials, seed)
         in_ml = np.zeros((trials, n), dtype=bool)
         others = np.arange(n - 1) + (np.arange(n - 1) >= ml_j[:, None])
         in_ml[np.arange(trials)[:, None], others] = draws[:, :n - 1] < 0.5
@@ -379,6 +464,24 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
                      for k in np.flatnonzero(~value_ge_array(lhs, rhs)).tolist())
     return CheckReport("curvature_lemma", len(slack), failures, _running_min(slack),
                        notes=(f"mode={mode}",), counts=dict(zip(_LEMMA_FAMILIES, sizes)))
+
+
+def _lemma_draws(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded draws of the sampled curvature lemma, one row per trial,
+    in the order that fixes a seed's samples: j, then one coin per other
+    position, then one three-way draw per position (2n - 1 random() calls).
+    The draws stream into one preallocated array, never a list of floats."""
+    rng = random.Random(seed)
+    choice, draw, positions, per_trial = rng.choice, rng.random, range(n), range(2 * n - 1)
+    ml_j = []
+
+    def stream():
+        for _ in range(trials):
+            ml_j.append(choice(positions))
+            for _ in per_trial:
+                yield draw()
+    draws = np.fromiter(stream(), dtype=np.float64, count=trials * (2 * n - 1))
+    return np.array(ml_j), draws.reshape(trials, 2 * n - 1)
 
 
 def _left_fold(terms: np.ndarray) -> np.ndarray:

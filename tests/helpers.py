@@ -4,6 +4,8 @@ import bisect
 import random
 from itertools import combinations
 
+import numpy as np
+
 from subknap.core import (CoverageOracle, Instance, Item,
                           ModularOracle, TableOracle, ValidationReport,
                           ValueOracle, Violation, curvature, left_sum,
@@ -230,6 +232,14 @@ def reference_subset_table(instance: Instance) -> tuple:
     return tuple(rows)
 
 
+def reference_subset_values(instance: Instance) -> np.ndarray:
+    """The value array of core.subset_table as it was built before it was
+    folded: one call of the oracle's uncached _value per subset."""
+    value, subset, count = instance.oracle._value, instance.subset, 1 << instance.n
+    return np.fromiter((value(frozenset(subset(m))) for m in range(count)),
+                       dtype=np.float64, count=count)
+
+
 def reference_opt(table: tuple, gamma: int) -> tuple:
     """(items, value, total_size) of the optimum at gamma: one scan of a
     reference_subset_table, value ties to the smallest id sequence."""
@@ -306,6 +316,19 @@ def reference_scan_oracle(oracle: ValueOracle, ids: list[str],
     return ValidationReport("normalized" not in failed, "monotone" not in failed,
                             "submodular" not in failed, found[0] if found else None,
                             "exhaustive")
+
+
+def reference_lemma_draws(n: int, trials: int, seed: int) -> tuple:
+    """(j per trial, draws per trial) of the sampled curvature lemma, gathered
+    in a growing list as check_curvature_lemma did before it filled
+    preallocated arrays."""
+    rng = random.Random(seed)
+    choice, draw, positions, per_trial = rng.choice, rng.random, range(n), range(2 * n - 1)
+    ml_j, draws = [], []
+    for _ in range(trials):
+        ml_j.append(choice(positions))
+        draws += [draw() for _ in per_trial]
+    return np.array(ml_j), np.array(draws).reshape(trials, 2 * n - 1)
 
 
 def reference_curvature_lemma(instance: Instance, trials: int = 10000,

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import ex1, ex3, superadditive_table, zero_item_supermodular
-from subknap import cli, core
+from subknap import cli, core, exact
 from subknap.cli import main
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           TableOracle, curvature, instance_from_dict,
@@ -293,6 +293,22 @@ def test_verify_refuses_before_printing(n, extra, tmp_path, capsys):
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("trials", [0, MAX_LEMMA_TRIALS + 1])
+def test_verify_refuses_trials_before_building_the_table(trials, monkeypatch,
+                                                         tmp_path, capsys):
+    path = tmp_path / "x.json"
+    save_instance(generate_instance(GeneratorSpec("modular", n=20)), path)
+    built = []
+    table = core.subset_table
+    for module in (core, exact):
+        monkeypatch.setattr(module, "subset_table",
+                            lambda instance: built.append(instance) or table(instance))
+    assert main(["verify", "-i", str(path), "--trials", str(trials)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --trials must lie in [1, {MAX_LEMMA_TRIALS}], got {trials}\n")
+    assert built == []
 
 
 def test_verify_missing_file_exit_2(tmp_path):

@@ -7,6 +7,7 @@ optima equal the reference scan at every capacity, and validation and the
 curvature lemma, which read subset values by bitmask, equal the frozenset
 scans they replaced."""
 
+import bisect
 import random
 from functools import reduce
 from operator import or_
@@ -16,16 +17,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (reference_curvature_lemma, reference_greedy,
-                     reference_interval, reference_opt, reference_policy,
-                     reference_scan_oracle, reference_start_list,
-                     reference_subset_table, sneaky_bad_table,
+                     reference_interval, reference_lemma_draws, reference_opt,
+                     reference_policy, reference_scan_oracle,
+                     reference_start_list, reference_subset_table,
+                     reference_subset_values, sneaky_bad_table,
                      superadditive_table, zero_item_supermodular)
-from subknap.core import (TOL, CoverageOracle, Instance,
+from subknap import exact
+from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
                           instance_to_dict, left_sum, normalize_instance,
-                          validate_oracle)
+                          subset_table, validate_oracle)
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
+from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
 from subknap.policy import (execute_policy, indispensability_interval,
@@ -197,16 +201,22 @@ def test_interval_ends_at_head_change_past_a_subset_sum():
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive optimum, cached per capacity over a table of values from
-# the oracle's uncached value function, against one scan per capacity over
-# a table built through the memo; every capacity, breakpoint or not
+# the exhaustive optimum, cached per capacity and replayed over a band of a
+# size-sorted table of folded values, against one scan per capacity over a
+# table built through the memo; every capacity, breakpoint or not
 
 def _assert_opt_matches_reference(instance) -> None:
     table = reference_subset_table(instance)
-    for gamma in range(1, sum(it.size for it in instance.items) + 2):
+    totals = sorted({total for _, total, _ in table})
+    want = {}
+    for gamma in range(1, totals[-1] + 2):
+        # every capacity from one subset total to the next admits the same
+        # rows, so the reference scans each of those row sets once
+        fits = totals[bisect.bisect_right(totals, gamma) - 1]
+        if fits not in want:
+            want[fits] = reference_opt(table, fits)
         opt = brute_force_opt(instance, gamma)
-        assert (opt.items, opt.value, opt.total_size) \
-            == reference_opt(table, gamma), gamma
+        assert (opt.items, opt.value, opt.total_size) == want[fits], gamma
 
 
 def _saturated_near_tie_coverage() -> Instance:
@@ -235,8 +245,8 @@ def test_corpus_opt_matches_reference_at_every_capacity(corpus):
         _assert_opt_matches_reference(instance)
 
 
-_GENERATED = [(kind, n) for kind in ("modular", "coverage", "concave_modular")
-              for n in (12, 14)]
+_GENERATED = [(kind, n) for kind in KINDS for n in (12, 14, 16)
+              if kind != "planted" or n > 12]
 
 
 @pytest.mark.parametrize("kind, n", _GENERATED,
@@ -256,6 +266,108 @@ def test_near_tie_and_empty_opt_match_reference_at_every_capacity():
 @given(_modular_duplicate_ratios() | _saturating_coverage() | _perturbed_table())
 def test_near_tie_opt_matches_reference_at_every_capacity(instance):
     _assert_opt_matches_reference(instance)
+
+
+def test_opt_past_int64_matches_reference():
+    # sizes past int64 keep Python ints; every subset total, its neighbours
+    # and a capacity beyond the total
+    big = 2 ** 62
+    instance = Instance((Item("a", big), Item("b", big + 1), Item("c", 1)),
+                        ModularOracle({"a": 1.0, "b": 2.0, "c": 0.5}))
+    table = reference_subset_table(instance)
+    totals = {total for _, total, _ in table}
+    for gamma in sorted({1, 10 ** 30} | {t + d for t in totals for d in (-1, 0, 1)} - {-1, 0}):
+        opt = brute_force_opt(instance, gamma)
+        assert (opt.items, opt.value, opt.total_size) == reference_opt(table, gamma)
+
+
+def _tie_chain_table(n: int) -> Instance:
+    """n unit items, the last one z: f(X) = 1 - 0.9 TOL (|X| - 1) if X holds
+    z, else 0.5 (and 0 for the empty set).  It passes validation within the
+    tolerance.  With everything fitting, the scan takes {z}, then ties walk
+    down through {a, z}, {a, b, z}, ... to the whole set, 0.9 TOL (n - 1)
+    below the best value: below the first band of the optimum for n >= 6."""
+    ids = [chr(ord("a") + k) for k in range(n - 1)] + ["z"]
+    values = {}
+    for mask in range(1 << n):
+        members = [i for k, i in enumerate(ids) if mask >> k & 1]
+        if "z" in members:
+            values[",".join(members)] = 1.0 - 0.9 * TOL * (len(members) - 1)
+        else:
+            values[",".join(members)] = 0.5 if members else 0.0
+    return Instance(tuple(Item(i, 1) for i in ids), TableOracle(values))
+
+
+def test_tie_chain_below_the_band_widens_and_matches_reference(monkeypatch):
+    instance = _tie_chain_table(7)
+    replays = []
+    replay = exact._replay
+    monkeypatch.setattr(exact, "_replay",
+                        lambda masks, values: replays.append(len(masks))
+                        or replay(masks, values))
+    opt = brute_force_opt(instance, 7)
+    assert opt.items == frozenset(instance.ids)
+    assert opt.value == 1.0 - 0.9 * TOL * 6
+    # the first band, the 57 rows with z and at most four others, stops the
+    # chain at {a, b, c, d, z}, 3.6 TOL below the best and so below the
+    # band's floor plus twice the tolerance; the wider band holds all 64
+    # rows with z and gives the scan's answer
+    assert replays == [57, 64]
+    _assert_opt_matches_reference(instance)
+
+
+# ---------------------------------------------------------------------------
+# the subset table's values come from folds (parametric oracles) and must
+# equal, bit for bit, one call of the oracle's _value per subset
+
+def _assert_table_matches_reference(instance) -> None:
+    assert subset_table(instance)[0].tobytes() == reference_subset_values(instance).tobytes()
+
+
+def test_corpus_tables_match_reference(corpus):
+    for _, instance in corpus:
+        _assert_table_matches_reference(instance)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_tables_match_reference(kind):
+    for seed in (0, 5):
+        _assert_table_matches_reference(
+            generate_instance(GeneratorSpec(kind, n=14, seed=seed, exponent=0.37)))
+    _assert_table_matches_reference(_saturated_near_tie_coverage())
+
+
+_FOLD_WEIGHTS = (st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.3, 1.0,
+                                  1e15, 1e300])
+                 | st.floats(0.0, 1e6))
+_EXPONENTS = (st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2 ** -53, 1.0])
+              | st.floats(1e-9, 1.0))
+
+
+@st.composite
+def _folded_oracle(draw):
+    """A modular, concave-modular or coverage objective on 1-9 items with
+    drawn weights, zeros and extremes included."""
+    n = draw(st.integers(1, 9))
+    ids = [f"w{k}" for k in range(n)]
+    items = tuple(Item(i, 1 + k % 3) for k, i in enumerate(ids))
+    kind = draw(st.sampled_from(["modular", "concave_modular", "coverage"]))
+    if kind == "coverage":
+        m = draw(st.integers(1, 6))
+        elements = {f"e{k}": draw(_FOLD_WEIGHTS) for k in range(m)}
+        covers = {i: draw(st.lists(st.sampled_from(sorted(elements)), max_size=m))
+                  for i in ids}
+        return Instance(items, CoverageOracle(elements, covers))
+    weights = {i: draw(_FOLD_WEIGHTS) for i in ids}
+    if kind == "modular":
+        return Instance(items, ModularOracle(weights))
+    return Instance(items, ConcaveModularOracle(weights, draw(_EXPONENTS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_folded_oracle())
+def test_drawn_tables_match_reference(instance):
+    _assert_table_matches_reference(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +519,17 @@ def test_signed_zero_worst_slack_matches_reference():
                 seen.add(want[1])
     assert {"0.0", "-0.0"} <= seen
 
+
+@pytest.mark.parametrize("n", [9, 13, 17])
+def test_sampled_lemma_draws_and_reports_match_reference(n):
+    # the draws fill preallocated arrays with the rng calls of the growing
+    # list they replaced, so every report stays the same
+    instance = generate_instance(GeneratorSpec("coverage", n=n, seed=n))
+    for seed in (0, 1, 7):
+        for trials in (1, 13, 200):
+            ml_j, draws = exact._lemma_draws(n, trials, seed)
+            want_j, want_draws = reference_lemma_draws(n, trials, seed)
+            assert ml_j.tolist() == want_j.tolist()
+            assert draws.tobytes() == want_draws.tobytes()
+            assert _lemma_outcome(check_curvature_lemma, instance, trials, seed) \
+                == _lemma_outcome(reference_curvature_lemma, instance, trials, seed)

@@ -52,56 +52,61 @@ def test_brute_force_opt_matches_independent_enumeration():
             assert got.total_size <= gamma
 
 
-def test_fresh_opt_builds_its_table_without_evaluate(monkeypatch):
-    inst = generate_instance(GeneratorSpec("coverage", n=12, seed=0))
-    calls = 0
-    evaluate = ValueOracle.evaluate
+def _count_values(monkeypatch, oracle_class) -> Counter:
+    """Count calls of ValueOracle.evaluate and of oracle_class._value."""
+    calls = Counter()
+    evaluate, value = ValueOracle.evaluate, oracle_class._value
 
-    def counting(self, ids):
-        nonlocal calls
-        calls += 1
+    def counting_evaluate(self, ids):
+        calls["evaluate"] += 1
         return evaluate(self, ids)
 
-    monkeypatch.setattr(ValueOracle, "evaluate", counting)
-    brute_force_opt(inst, sum(it.size for it in inst.items) // 2)
-    assert calls == 0
-
-    # validation, the curvature lemma and the optimum read one subset table,
-    # which values each subset once; the curvature itself uses the memo
-    inst = generate_instance(GeneratorSpec("coverage", n=8, seed=0))
-    monkeypatch.setattr(ValueOracle, "evaluate", evaluate)
-    curvature(inst)
-    monkeypatch.setattr(ValueOracle, "evaluate", counting)
-    values = 0
-    value = CoverageOracle._value
-
     def counting_value(self, s):
-        nonlocal values
-        values += 1
+        calls["_value"] += 1
         return value(self, s)
 
-    monkeypatch.setattr(CoverageOracle, "_value", counting_value)
-    assert core.validate_oracle(inst).mode == "exhaustive"
-    assert check_curvature_lemma(inst).notes == ("mode=exhaustive",)
-    brute_force_opt(inst, sum(it.size for it in inst.items) // 2)
-    assert (calls, values) == (0, 2 ** 8)
+    monkeypatch.setattr(ValueOracle, "evaluate", counting_evaluate)
+    monkeypatch.setattr(oracle_class, "_value", counting_value)
+    return calls
 
 
-def test_sampled_lemma_values_each_drawn_subset_once_and_leaves_the_memo(monkeypatch):
+def test_fresh_opt_builds_its_table_without_evaluate(monkeypatch):
+    # parametric oracles fold their table: neither evaluate nor _value runs,
+    # and the memo stays as it was.  Validation, the curvature lemma and the
+    # optimum all read that one table; the curvature itself uses the memo
+    for kind, n in (("coverage", 12), ("modular", 12), ("concave_modular", 12),
+                    ("coverage", 8)):
+        inst = generate_instance(GeneratorSpec(kind, n=n, seed=0))
+        curvature(inst)
+        memo = dict(inst.oracle._cache)
+        with monkeypatch.context() as patch:
+            calls = _count_values(patch, type(inst.oracle))
+            brute_force_opt(inst, sum(it.size for it in inst.items) // 2)
+            assert core.validate_oracle(inst).mode == "exhaustive"
+            check_curvature_lemma(inst, trials=300)
+        assert calls == Counter(), kind
+        assert inst.oracle._cache == memo
+
+
+def test_sampled_lemma_reads_the_table_and_leaves_the_memo(monkeypatch):
     inst = generate_instance(GeneratorSpec("coverage", n=13, seed=0))
     curvature(inst)
     memo = dict(inst.oracle._cache)
-    valued = Counter()
-    value = CoverageOracle._value
-
-    def counting_value(self, s):
-        valued[s] += 1
-        return value(self, s)
-
-    monkeypatch.setattr(CoverageOracle, "_value", counting_value)
+    calls = _count_values(monkeypatch, CoverageOracle)
     assert check_curvature_lemma(inst, trials=300).notes == ("mode=sampled",)
     assert inst.oracle._cache == memo
-    assert valued and set(valued.values()) == {1}
+    assert calls == Counter()
+
+
+def test_table_oracle_table_reads_each_subset_once(monkeypatch):
+    # a table has no fold: its array takes each subset's value from the dict
+    inst = Instance((Item("a", 1), Item("b", 2), Item("c", 3)), TableOracle({
+        "": 0.0, "a": 1.0, "b": 1.0, "c": 1.0,
+        "a,b": 2.0, "a,c": 2.0, "b,c": 2.0, "a,b,c": 2.5}))
+    calls = _count_values(monkeypatch, TableOracle)
+    values, _ = core.subset_table(inst)
+    assert values.tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 2.5]
+    assert calls == Counter({"_value": 8})
 
 
 def test_opt_with_sizes_past_int64():
