@@ -71,15 +71,35 @@ def _run_child(checkout: Path, kind: str, n: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _perfbench(checkout: Path, workload: str) -> dict:
+def _perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise RuntimeError(f"perfbench {workload} in {checkout} is not correct")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def perfbench_rounds(checkouts: dict[str, Path], rounds: int, seed: int = 0,
+                     seconds: int = PERFBENCH_SECONDS) -> dict:
+    """Every checkout's perfbench metrics, `rounds` runs per workload with
+    alternating checkout order, and the median of every metric."""
+    runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
+    for k in range(rounds):
+        order = list(checkouts.items())
+        for label, checkout in order[::-1] if k % 2 else order:
+            for workload in WORKLOADS:
+                runs[label][workload].append(_perfbench(checkout, workload, seed, seconds))
+                print(f"{label:>8} {workload} round {k}: "
+                      f"{json.dumps(runs[label][workload][-1])}", flush=True)
+    return {"rounds": rounds, "seed": seed, "seconds": seconds,
+            "medians": {label: {w: {name: statistics.median(r[name] for r in rs)
+                                    for name in rs[0]}
+                                for w, rs in per.items()}
+                        for label, per in runs.items()},
+            "runs": runs}
 
 
 def main(argv=None) -> int:
@@ -107,21 +127,7 @@ def main(argv=None) -> int:
                 print(f"{label:>8} {kind:<9} n={n:<3} {json.dumps(row)}", flush=True)
 
     if args.perfbench_rounds:
-        runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
-        for k in range(args.perfbench_rounds):
-            order = list(checkouts.items())
-            for label, checkout in order[::-1] if k % 2 else order:
-                for workload in WORKLOADS:
-                    runs[label][workload].append(_perfbench(checkout, workload))
-                    print(f"{label:>8} {workload} round {k}: "
-                          f"{json.dumps(runs[label][workload][-1])}", flush=True)
-        report["perfbench"] = {
-            "rounds": args.perfbench_rounds, "seconds": PERFBENCH_SECONDS,
-            "medians": {label: {w: {name: statistics.median(r[name] for r in rs)
-                                    for name in rs[0]}
-                                for w, rs in per.items()}
-                        for label, per in runs.items()},
-            "runs": runs}
+        report["perfbench"] = perfbench_rounds(checkouts, args.perfbench_rounds)
 
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

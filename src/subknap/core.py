@@ -12,8 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import add
+from itertools import accumulate, compress
+from operator import add, mul, or_
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -89,10 +89,22 @@ def sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(ids))
 
 
+def _bit_flags(mask: int) -> bytes:
+    """Byte i is bit i of mask (0 or 1), up to the highest set bit."""
+    # bin() lists the bits from the highest: reversed without "0b", digit i is bit i
+    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
 def _mask_members(ids: tuple[str, ...], mask: int) -> tuple[str, ...]:
     """The members of ids named by a bitmask: bit i set means ids[i] is one."""
-    # bin() lists the bits from the highest: reversed without "0b", digit i is bit i
-    return tuple(compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+    return tuple(compress(ids, _bit_flags(mask)))
+
+
+def _fold(weights: tuple[float, ...], mask: int, start: float = 0.0, low: int = 0) -> float:
+    """Left fold, from start, of the weights at the set bits of mask from bit
+    low up, in ascending bit order; with the defaults, left_sum of the
+    weights the mask names."""
+    return reduce(add, compress(weights[low:], _bit_flags(mask >> low)), start)
 
 
 def _subset_sums(empty: np.ndarray, terms: Iterable) -> np.ndarray:
@@ -157,8 +169,14 @@ class Item:
 class ValueOracle:
     """Monotone, normalized, submodular set function queried by item subset.
 
-    Results are memoized per subset; the cache never changes observable
-    behavior and is safe for concurrent read-only callers.
+    Results of evaluate are memoized per subset; the cache never changes
+    observable behavior and is safe for concurrent read-only callers.  The
+    memo serves whole-set lookups only (singletons, solutions, curvature):
+    greedy and the policy value their candidates from a packed_state, which
+    for the parametric families carries a fold and never touches the memo,
+    and the policy keeps its step-3 choices per instance, at most one per
+    fit-answer history reached, each the same from every writer
+    (execute_policy).
     """
 
     kind = "abstract"
@@ -188,6 +206,10 @@ class ValueOracle:
 
     def _value(self, s: frozenset[str]) -> float:
         raise NotImplementedError
+
+    def packed_state(self) -> "PackedState":
+        """An empty set to pack items into, which values a set plus one item."""
+        return PackedState(self)
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         """_value of every subset of ids (the ascending domain) as float64,
@@ -220,6 +242,88 @@ class ValueOracle:
         raise NotImplementedError
 
 
+class PackedState:
+    """A set packed one item at a time, and the value it would have with
+    one more item.  This one evaluates the whole set through the memo."""
+
+    def __init__(self, oracle: ValueOracle):
+        self._oracle = oracle
+        self.packed: frozenset[str] = frozenset()
+
+    def value_with(self, item_id: str) -> float:
+        """Value of the packed set plus item_id."""
+        return self._oracle.evaluate(self.packed | {item_id})
+
+    def pack(self, item_id: str) -> None:
+        self.packed = self.packed | {item_id}
+
+
+class _FoldState(PackedState):
+    """The packed set of a folded oracle as the mask of the element ranks it
+    covers, and prefix[r], the left fold of the covered weights below rank r.
+
+    A candidate is valued as the prefix up to its lowest new rank, with the
+    fold continued from there over the covered and the new ranks: the
+    additions of _value in the same order, so the same float.  A candidate
+    that covers nothing new leaves the packed value as it is.
+    """
+
+    def __init__(self, oracle: "_FoldedOracle"):
+        super().__init__(oracle)
+        self._weights, self._covers = oracle._weight_of_rank, oracle._ranks_of
+        self._covered = 0
+        self._prefix = [0.0] * (len(self._weights) + 1)
+
+    def value_with(self, item_id: str) -> float:
+        covered = self._covered
+        new = self._covers[item_id] & ~covered
+        if not new:
+            return self._oracle._finish(self._prefix[-1])
+        low = (new & -new).bit_length() - 1
+        return self._oracle._finish(
+            _fold(self._weights, covered | new, self._prefix[low], low))
+
+    def pack(self, item_id: str) -> None:
+        super().pack(item_id)
+        new = self._covers[item_id] & ~self._covered
+        if new:
+            low = (new & -new).bit_length() - 1
+            self._covered |= new
+            # an uncovered rank adds w * 0, which leaves the bits of the fold
+            # (never -0.0) as skipping it would; the top bit pads the flags
+            flags = _bit_flags((self._covered | 1 << len(self._weights)) >> low)
+            self._prefix[low:] = accumulate(map(mul, self._weights[low:], flags), add,
+                                            initial=self._prefix[low])
+
+
+class _FoldedOracle(ValueOracle):
+    """A value that is the left fold of element weights over the elements a
+    set covers, in ascending element order, then _finish.  Coverage has its
+    elements; in modular and concave-modular oracles each item is one.
+
+    The elements are ranked in sorted order, once per oracle: each rank's
+    weight, and per item the mask of the ranks it covers.  _value and the
+    packed states of greedy and the policy fold over these.
+    """
+
+    def __init__(self, weights: Mapping[str, float], covers: Mapping[str, Iterable[str]]):
+        super().__init__(covers)  # the items
+        rank = {e: r for r, e in enumerate(sorted(weights))}
+        self._weight_of_rank = tuple(weights[e] for e in sorted(weights))
+        self._ranks_of = {i: reduce(or_, (1 << rank[e] for e in es), 0)
+                          for i, es in covers.items()}
+
+    def _finish(self, total: float) -> float:
+        return total
+
+    def _value(self, s: frozenset[str]) -> float:
+        covered = reduce(or_, map(self._ranks_of.__getitem__, s), 0)
+        return self._finish(_fold(self._weight_of_rank, covered))
+
+    def packed_state(self) -> PackedState:
+        return _FoldState(self)
+
+
 def _check_weights(weights: Mapping[str, float], what: str = "weight for") -> None:
     """Finite nonnegative weights whose total is finite too, so that no
     subset value overflows to infinity."""
@@ -233,16 +337,13 @@ def _check_weights(weights: Mapping[str, float], what: str = "weight for") -> No
         raise ConfigurationError(f"total of {len(weights)} weights overflows")
 
 
-class ModularOracle(ValueOracle):
+class ModularOracle(_FoldedOracle):
     kind = "modular"
 
     def __init__(self, weights: Mapping[str, float]):
         _check_weights(weights)
-        super().__init__(weights)
+        super().__init__(weights, {i: (i,) for i in weights})
         self._weights = dict(weights)
-
-    def _value(self, s: frozenset[str]) -> float:
-        return left_sum(self._weights[i] for i in sorted(s))
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         return _subset_sums(np.zeros(1), map(self._weights.get, ids))
@@ -255,7 +356,7 @@ class ModularOracle(ValueOracle):
         return {"kind": "modular", "weights": dict(sorted(self._weights.items()))}
 
 
-class CoverageOracle(ValueOracle):
+class CoverageOracle(_FoldedOracle):
     """Weighted coverage: value of a set is the weight of the covered elements."""
 
     kind = "coverage"
@@ -267,16 +368,10 @@ class CoverageOracle(ValueOracle):
             for e in es:
                 if e not in element_weights:
                     raise ConfigurationError(f"item {i!r} covers unknown element {e!r}")
-        super().__init__(cov)
+        super().__init__(element_weights, cov)
         self._addends = max(1, len(element_weights))
         self._element_weights = dict(element_weights)
         self._covers = cov
-
-    def _value(self, s: frozenset[str]) -> float:
-        covered = set()
-        for i in s:
-            covered.update(self._covers[i])
-        return left_sum(self._element_weights[e] for e in sorted(covered))
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         # the mask of the items covering each element, then one left fold
@@ -306,7 +401,7 @@ class CoverageOracle(ValueOracle):
         }
 
 
-class ConcaveModularOracle(ValueOracle):
+class ConcaveModularOracle(_FoldedOracle):
     """Concave power of a modular sum; exponent 1 gives the modular oracle."""
 
     kind = "concave_modular"
@@ -315,12 +410,12 @@ class ConcaveModularOracle(ValueOracle):
         if not 0.0 < _check_finite(exponent, "exponent") <= 1.0:
             raise ConfigurationError(f"exponent must be in (0, 1], got {exponent!r}")
         _check_weights(weights)
-        super().__init__(weights)
+        super().__init__(weights, {i: (i,) for i in weights})
         self._weights = dict(weights)
         self._exponent = float(exponent)
 
-    def _value(self, s: frozenset[str]) -> float:
-        return left_sum(self._weights[i] for i in sorted(s)) ** self._exponent
+    def _finish(self, total: float) -> float:
+        return total ** self._exponent
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         # Python's float power, which numpy's vectorised one need not match
@@ -452,10 +547,10 @@ class Instance:
 
         Instances and their oracles are immutable, so what is derived from
         them is computed once per instance: the validation verdict, greedy
-        orders, the start list, singletons, the subset table (every subset's
-        value, which validation, the curvature lemma and the optimum read in
-        place of the memo), breakpoints, curvature and the optimum per
-        capacity.
+        orders, the start list, the policy's step-3 choices per fit-answer
+        history, singletons, the subset table (every subset's value, which
+        validation, the curvature lemma and the optimum read in place of the
+        memo), breakpoints, curvature and the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()

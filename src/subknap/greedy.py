@@ -12,7 +12,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Instance, check_capacity, check_oracle, value_ge, value_gt
+from .core import (Instance, PackedState, check_capacity, check_oracle, value_ge,
+                   value_gt)
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,21 @@ def make_solution(instance: Instance, ids) -> Solution:
     return Solution(items, instance.value(items), instance.total_size(items))
 
 
-def best_density_item(instance: Instance, packed: set[str] | frozenset[str],
-                      packed_value: float,
+def best_density_item(instance: Instance, state: PackedState, packed_value: float,
                       candidates: Iterable[str]) -> tuple[str | None, float]:
-    """Candidate with the largest marginal value per unit size on packed.
+    """Candidate with the largest marginal value per unit size on the packed
+    set of state, whose value is packed_value.
 
     Candidates are scanned in ascending id order and a later one wins only by
     a density strictly greater beyond tolerance.  Returns the winner and the
-    value of packed plus the winner; (None, 0.0) when there is no candidate.
+    value of the packed set plus the winner; (None, 0.0) when there is no
+    candidate.
     """
-    value_of = instance.oracle.evaluate
     best_id = None
     best_density = 0.0
     best_value = 0.0
     for iid in sorted(candidates):
-        v = value_of(packed | {iid})
+        v = state.value_with(iid)
         density = (v - packed_value) / instance.size(iid)
         if best_id is None or value_gt(density, best_density):
             best_id, best_density, best_value = iid, density, v
@@ -78,10 +79,20 @@ class DensityQueue:
     picks as best_density_item would, but evaluates lazily (Minoux 1978).
     The candidates only shrink: by pack, drop and discard_from.
 
+    Candidates are valued by the oracle's packed_state, carried through
+    pack: for coverage, modular and concave-modular oracles a fold over the
+    covered elements that gives _value's floats without building a set or
+    reading the memo, which serves whole-set lookups only; for a table, the
+    memo on the packed set plus one item.
+
     Every candidate keeps the density it had when last evaluated, on a
     subset of the current packed set.  By submodularity that density bounds
     its current one from above, up to the oracle's gain_drift, so a selection
-    re-evaluates only candidates at the head of a max-heap of bounds.
+    re-evaluates only candidates at the head of a max-heap of bounds.  That
+    holds however many packs passed since, so a caller may pack without
+    selecting in between: execute_policy does where its choice cache (one
+    entry per step-3 decision reached on the instance, the same pair from
+    every writer) already holds the choice.
 
     The scan's tie rule is not transitive, so a lazy winner is accepted only
     where it provably equals the scan's: (a) the freshly evaluated head beats
@@ -95,7 +106,7 @@ class DensityQueue:
         check_oracle(instance)  # the bounds rely on a valid objective
         oracle = instance.oracle
         self._instance = instance
-        self.packed: frozenset[str] = frozenset()
+        self._state = oracle.packed_state()
         self.packed_value = 0.0
         self._live = sorted(candidates)
         # per live candidate: density bound, len(packed) when it was
@@ -116,6 +127,14 @@ class DensityQueue:
 
     def __len__(self) -> int:
         return len(self._live)
+
+    @property
+    def packed(self) -> frozenset[str]:
+        return self._state.packed
+
+    def value_with(self, item_id: str) -> float:
+        """Value of the packed set plus item_id."""
+        return self._state.value_with(item_id)
 
     def select(self) -> tuple[str, float]:
         """The candidate best_density_item picks on the packed set, and the
@@ -139,14 +158,14 @@ class DensityQueue:
                 return first, self._value[first]
             stale = next((i for i in (rival, first) if not self._fresh(i)), None)
             if stale is None:
-                return best_density_item(self._instance, self.packed,
+                return best_density_item(self._instance, self._state,
                                          self.packed_value, self._live)
             self._refresh(stale)
 
     def pack(self, item_id: str, value: float) -> None:
         """Add a candidate to the packed set, whose value becomes value."""
         self.drop(item_id)
-        self.packed = self.packed | {item_id}
+        self._state.pack(item_id)
         self.packed_value = value
 
     def drop(self, item_id: str) -> None:
@@ -182,7 +201,7 @@ class DensityQueue:
         return None
 
     def _refresh(self, item_id: str) -> None:
-        v = self._instance.oracle.evaluate(self.packed | {item_id})
+        v = self._state.value_with(item_id)
         density = (v - self.packed_value) / self._instance.size(item_id)
         self._stamp[item_id] = len(self.packed)
         self._value[item_id] = v

@@ -189,17 +189,30 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     dropping prefix items from the pool whether or not they fit.  Step 3
     packs the rest of the pool adaptively by marginal density with the same
     discard rule.
+
+    The fit answers so far decide what is packed and what is left in the
+    pool, so on one instance the policy is one decision tree over them.  Its
+    step-3 choices are kept per instance ("policy_choices"), keyed by every
+    answer so far as the bits of an int after a leading 1: at most one entry
+    per step-3 decision ever reached, each the (item, value with it) pair
+    DensityQueue.select returned.  A run that finds its choice kept still
+    packs and discards, but does not select; the queue's density bounds stay
+    valid across the packs it skips.  Concurrent callers may share the
+    cache, since every writer of an entry stores the same pair.
     """
     queue = DensityQueue(instance, instance.ids)
     start_list = instance.cached("start_list", lambda: start_item_list(instance))
+    choices = instance.cached("policy_choices", dict)
     packed_size = 0
+    history = 1  # every fit answer so far, one bit each, after a leading 1
     attempts: list[PolicyAttempt] = []
 
     def attempt(item_id: str, phase: str) -> bool:
-        nonlocal packed_size
+        nonlocal packed_size, history
         size = instance.size(item_id)
         ok = oracle.fits(packed_size + size)
         attempts.append(PolicyAttempt(item_id, ok, phase))
+        history = history << 1 | bool(ok)  # fits may return any truth value
         if ok:
             packed_size += size
         return ok
@@ -209,7 +222,7 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     for entry in reversed(start_list.entries):
         iid = entry.item_id
         if attempt(iid, PHASE_START_ITEM):
-            queue.pack(iid, instance.value({iid}))
+            queue.pack(iid, queue.value_with(iid))
             if entry.reason == REASON_INDISPENSABLE:
                 run = greedy_sequence(instance, instance.size(iid))
                 prefix_order = run.order[:run.k]
@@ -219,13 +232,17 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     # Step 2: replay the start item's greedy prefix in order
     for iid in prefix_order:
         if attempt(iid, PHASE_GREEDY_PREFIX):
-            queue.pack(iid, instance.value(queue.packed | {iid}))
+            queue.pack(iid, queue.value_with(iid))
         else:
             queue.drop(iid)
 
-    # Step 3: adaptive greedy over whatever is left
+    # Step 3: adaptive greedy over whatever is left; the answers so far
+    # decide what is packed and what is left, so they decide the choice
     while queue:
-        best_id, best_value = queue.select()
+        choice = choices.get(history)
+        if choice is None:
+            choice = choices[history] = queue.select()
+        best_id, best_value = choice
         if attempt(best_id, PHASE_MAIN_GREEDY):
             queue.pack(best_id, best_value)
         else:

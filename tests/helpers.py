@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from subknap.core import (CoverageOracle, Instance, Item,
+from subknap.core import (ConcaveModularOracle, CoverageOracle, Instance, Item,
                           ModularOracle, TableOracle, ValidationReport,
                           ValueOracle, Violation, curvature, left_sum,
                           size_breakpoints, sorted_ids, value_gt, values_close)
@@ -232,11 +232,30 @@ def reference_subset_table(instance: Instance) -> tuple:
     return tuple(rows)
 
 
+def reference_value(oracle: ValueOracle, ids) -> float:
+    """The value of a set as the oracles computed it before coverage,
+    modular and concave-modular values became folds over masks of element
+    ranks: a left sum over the sorted ids, or over the sorted elements that
+    a Python set of covered elements collects; any other oracle's _value."""
+    if isinstance(oracle, CoverageOracle):
+        covered = set()
+        for i in ids:
+            covered.update(oracle._covers[i])
+        return left_sum(oracle._element_weights[e] for e in sorted(covered))
+    if isinstance(oracle, (ModularOracle, ConcaveModularOracle)):
+        total = left_sum(oracle._weights[i] for i in sorted(ids))
+        if isinstance(oracle, ConcaveModularOracle):
+            return total ** oracle._exponent
+        return total
+    return oracle._value(frozenset(ids))
+
+
 def reference_subset_values(instance: Instance) -> np.ndarray:
     """The value array of core.subset_table as it was built before it was
-    folded: one call of the oracle's uncached _value per subset."""
-    value, subset, count = instance.oracle._value, instance.subset, 1 << instance.n
-    return np.fromiter((value(frozenset(subset(m))) for m in range(count)),
+    folded: one reference_value per subset, which was the oracle's uncached
+    _value before that became a fold too."""
+    oracle, subset, count = instance.oracle, instance.subset, 1 << instance.n
+    return np.fromiter((reference_value(oracle, subset(m)) for m in range(count)),
                        dtype=np.float64, count=count)
 
 

@@ -20,7 +20,7 @@ from helpers import (reference_curvature_lemma, reference_greedy,
                      reference_interval, reference_lemma_draws, reference_opt,
                      reference_policy, reference_scan_oracle,
                      reference_start_list, reference_subset_table,
-                     reference_subset_values, sneaky_bad_table,
+                     reference_subset_values, reference_value, sneaky_bad_table,
                      superadditive_table, zero_item_supermodular)
 from subknap import exact
 from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
@@ -32,7 +32,7 @@ from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import greedy_sequence
-from subknap.policy import (execute_policy, indispensability_interval,
+from subknap.policy import (FitOracle, execute_policy, indispensability_interval,
                             make_fit_oracle, start_item_list)
 from test_cli import _thirteen_item_table
 
@@ -368,6 +368,90 @@ def _folded_oracle(draw):
 @given(_folded_oracle())
 def test_drawn_tables_match_reference(instance):
     _assert_table_matches_reference(instance)
+
+
+# ---------------------------------------------------------------------------
+# greedy and the policy value a candidate from a fold state carried through
+# the packs; its value must be _value's float, and the set-based reference's,
+# for every item (packed ones too) after every pack of a random order
+
+def _assert_state_matches_value(instance, rng: random.Random) -> None:
+    oracle = instance.oracle
+    state = oracle.packed_state()
+    order = list(instance.ids)
+    rng.shuffle(order)
+    for item in order + [None]:
+        for i in instance.ids:
+            s = state.packed | {i}
+            want = oracle._value(s).hex()
+            assert state.value_with(i).hex() == want == reference_value(oracle, s).hex(), \
+                (sorted(state.packed), i)
+        if item is not None:
+            state.pack(item)
+
+
+def test_corpus_states_match_value(corpus):
+    rng = random.Random(0)
+    for _, instance in corpus:
+        _assert_state_matches_value(instance, rng)
+
+
+@pytest.mark.parametrize("kind", ["coverage", "modular", "concave_modular"])
+def test_generated_n100_states_match_value(kind):
+    instance = generate_instance(GeneratorSpec(kind, n=100, seed=0, exponent=0.37))
+    _assert_state_matches_value(instance, random.Random(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_folded_oracle(), st.randoms(use_true_random=False))
+def test_drawn_states_match_value(instance, rng):
+    _assert_state_matches_value(instance, rng)
+
+
+# ---------------------------------------------------------------------------
+# the policy keeps its step-3 choices per instance and fit-answer history;
+# every capacity, in shuffled order and with erratic answers mixed in, must
+# give the trace of a run that finds no choice kept
+
+class _ErraticFit(FitOracle):
+    """Answers as the capacity does, but every third answer flipped: fit
+    histories that no capacity gives, kept in the same choice cache."""
+
+    def fits(self, candidate_total_size: int) -> bool:
+        return super().fits(candidate_total_size) != (self.query_count % 3 == 0)
+
+
+def _assert_shared_choices_match_cold(instance, seed: int = 0) -> None:
+    # the cold copy shares the oracle; it keeps its own start list and greedy
+    # orders, which no choice changes, and drops its kept choices before
+    # every run
+    cold = Instance(instance.items, instance.oracle)
+    runs = [(fit, gamma) for gamma in range(1, instance.total_size(instance.ids) + 2)
+            for fit in (FitOracle, _ErraticFit)]
+    random.Random(seed).shuffle(runs)
+    for fit, gamma in runs:
+        cold._cache.pop("policy_choices", None)
+        assert execute_policy(instance, fit(gamma)).to_dict() \
+            == execute_policy(cold, fit(gamma)).to_dict(), (fit, gamma)
+
+
+def test_corpus_shared_choices_match_cold(corpus):
+    for _, instance in corpus:
+        _assert_shared_choices_match_cold(instance)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coverage_n100_shared_choices_match_cold(seed):
+    _assert_shared_choices_match_cold(
+        generate_instance(GeneratorSpec("coverage", n=100, seed=seed)), seed)
+
+
+def test_table_shared_choices_match_cold():
+    for weights, pair in [({"a": 0.5, "b": 0.5 + 1.5 * TOL, "c": 1.0}, "ac"),
+                          ({"a": 0.5, "b": 0.5 + 0.8 * TOL, "c": 0.5 + 0.5 * TOL,
+                            "d": 1.0, "e": 0.5 + 0.4 * TOL}, "de")]:
+        _assert_shared_choices_match_cold(_bumped_table(weights, pair))
+    _assert_shared_choices_match_cold(_tie_chain_table(7))
 
 
 # ---------------------------------------------------------------------------

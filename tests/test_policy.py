@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from helpers import ex1, ex1_extended, ex3, superadditive_table
-from subknap.core import (Instance, Item, ModularOracle, OracleValidationError,
-                          TableOracle, ValueOracle, size_breakpoints)
+from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
+                          OracleValidationError, TableOracle, ValueOracle,
+                          normalize_instance, size_breakpoints)
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap import policy
-from subknap.greedy import agreedy, mgreedy
+from subknap.greedy import DensityQueue, agreedy, mgreedy
 from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_MAIN_GREEDY,
                             PHASE_START_ITEM, IndispensabilityResult,
                             execute_policy, indispensability_interval,
@@ -253,6 +256,50 @@ def test_oracle_calls_stay_under_ceiling(monkeypatch):
         agreedy(inst, gamma)
         mgreedy(inst, gamma)
     assert calls <= EVALUATE_CALL_CEILING
+
+
+#: CoverageOracle._value calls for the start list plus policy, agreedy and
+#: mgreedy on the 200-capacity grid of the benchmark's n=100 coverage
+#: instance (seed 0): 363 measured, the rest headroom; 2 683 when greedy and
+#: the policy valued candidates through the memo
+VALUE_CALL_CEILING = 400
+
+
+def test_policy_selects_once_per_history_and_values_stay_under_ceiling(monkeypatch):
+    selects = values = 0
+    select, value = DensityQueue.select, CoverageOracle._value
+
+    def counting_select(self):
+        nonlocal selects
+        selects += 1
+        return select(self)
+
+    def counting_value(self, s):
+        nonlocal values
+        values += 1
+        return value(self, s)
+
+    monkeypatch.setattr(DensityQueue, "select", counting_select)
+    monkeypatch.setattr(CoverageOracle, "_value", counting_value)
+    inst = normalize_instance(generate_instance(
+        GeneratorSpec("coverage", n=100, size_max=100, seed=0)))
+    total = sum(it.size for it in inst.items)
+    caps = sorted({max(1, round(k * total / 200)) for k in range(1, 201)})
+    random.Random(0).shuffle(caps)
+    start_item_list(inst)  # every greedy order the grid reads
+    selects = 0
+    histories = set()  # of step-3 choices: the fit answers before each
+    for gamma in caps:
+        trace = execute_policy(inst, make_fit_oracle(gamma))
+        agreedy(inst, gamma)
+        mgreedy(inst, gamma)
+        history = 1
+        for a in trace.attempts:
+            if a.phase == PHASE_MAIN_GREEDY:
+                histories.add(history)
+            history = history << 1 | a.fitted
+    assert selects <= len(histories)
+    assert values <= VALUE_CALL_CEILING
 
 
 def test_policy_refuses_invalid_table_with_given_start_list():
