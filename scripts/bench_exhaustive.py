@@ -71,10 +71,10 @@ def _run_child(checkout: Path, kind: str, n: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def _perfbench(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
@@ -82,8 +82,7 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def perfbench_rounds(checkouts: dict[str, Path], rounds: int, seed: int = 0,
-                     seconds: int = PERFBENCH_SECONDS) -> dict:
+def perfbench_rounds(checkouts: dict[str, Path], rounds: int, seed: int = 0) -> dict:
     """Every checkout's perfbench metrics, `rounds` runs per workload with
     alternating checkout order, and the median of every metric."""
     runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
@@ -91,10 +90,10 @@ def perfbench_rounds(checkouts: dict[str, Path], rounds: int, seed: int = 0,
         order = list(checkouts.items())
         for label, checkout in order[::-1] if k % 2 else order:
             for workload in WORKLOADS:
-                runs[label][workload].append(_perfbench(checkout, workload, seed, seconds))
+                runs[label][workload].append(_perfbench(checkout, workload, seed))
                 print(f"{label:>8} {workload} round {k}: "
                       f"{json.dumps(runs[label][workload][-1])}", flush=True)
-    return {"rounds": rounds, "seed": seed, "seconds": seconds,
+    return {"rounds": rounds, "seed": seed, "seconds": PERFBENCH_SECONDS,
             "medians": {label: {w: {name: statistics.median(r[name] for r in rs)
                                     for name in rs[0]}
                                 for w, rs in per.items()}

@@ -20,8 +20,8 @@ CPU seconds (time.process_time) one phase:
 Each child reports its ru_maxrss, the size of the oracle memo and a digest of
 what the phase computed (the order, the start list, or every trace), so that
 two checkouts can be compared for equal answers.  A child runs under an
-address-space limit (--max-mb) and a time limit (--timeout); one that exceeds
-either is recorded as failed, with the reason.
+address-space limit of MAX_MB and a wall-time limit of TIMEOUT_S; one that
+exceeds either is recorded as failed, with the reason.
 
 --perfbench-rounds K runs each checkout's ``perfbench/run.py --trace 0`` K
 times per workload at --perfbench-seed, alternating which checkout goes
@@ -42,13 +42,15 @@ import sys
 import time
 from pathlib import Path
 
-from bench_exhaustive import PERFBENCH_SECONDS, perfbench_rounds
+from bench_exhaustive import perfbench_rounds
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("modular", "coverage")
 SIZES = (100, 300, 500)
 PHASES = ("order", "start_list", "policy")
 GRID = 200
+MAX_MB = 1536
+TIMEOUT_S = 120.0
 
 
 def _digest(value) -> str:
@@ -77,20 +79,18 @@ def _child(kind: str, n: int, phase: str) -> dict:
             "memo_subsets": len(instance.oracle._cache), "digest": _digest(result)}
 
 
-def _run_child(checkout: Path, kind: str, n: int, phase: str,
-               max_mb: int, timeout: float) -> dict:
+def _run_child(checkout: Path, kind: str, n: int, phase: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     row = {"kind": kind, "n": n, "phase": phase}
     try:
         proc = subprocess.run(
-            [sys.executable, __file__, "--child", kind, str(n), phase,
-             "--max-mb", str(max_mb)],
-            env=env, capture_output=True, text=True, timeout=timeout)
+            [sys.executable, __file__, "--child", kind, str(n), phase],
+            env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return {**row, "failed": f"over {timeout:g} s of wall time"}
+        return {**row, "failed": f"over {TIMEOUT_S:g} s of wall time"}
     if proc.returncode != 0:
         last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {**row, "failed": f"exit {proc.returncode} under {max_mb} MB "
+        return {**row, "failed": f"exit {proc.returncode} under {MAX_MB} MB "
                                  f"of address space: {last[-200:]}"}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -100,18 +100,13 @@ def main(argv=None) -> int:
     parser.add_argument("--child", nargs=3, metavar=("KIND", "N", "PHASE"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--max-mb", type=int, default=1536,
-                        help="address-space limit of each child, in MB")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="wall-time limit of each child, in seconds")
     parser.add_argument("--perfbench-rounds", type=int, default=0)
     parser.add_argument("--perfbench-seed", type=int, default=0)
-    parser.add_argument("--perfbench-seconds", type=int, default=PERFBENCH_SECONDS)
     parser.add_argument("--quick", action="store_true", help="n=100 only, a smoke test")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     if args.child:
-        cap = args.max_mb * 2 ** 20
+        cap = MAX_MB * 2 ** 20
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         kind, n, phase = args.child
         print(json.dumps(_child(kind, int(n), phase)))
@@ -121,21 +116,21 @@ def main(argv=None) -> int:
     checkouts = {label: Path(path).resolve() for label, path in checkouts.items()}
     sizes = [100] if args.quick else SIZES
     report: dict = {"python": sys.version.split()[0], "cpus": os.cpu_count(),
-                    "max_mb": args.max_mb, "timeout_s": args.timeout,
+                    "max_mb": MAX_MB, "timeout_s": TIMEOUT_S,
                     "layers": {label: [] for label in checkouts}}
     failed = False
     for kind in KINDS:
         for n in sizes:
             for phase in PHASES:
                 for label, checkout in checkouts.items():
-                    row = _run_child(checkout, kind, n, phase, args.max_mb, args.timeout)
+                    row = _run_child(checkout, kind, n, phase)
                     failed |= "failed" in row
                     report["layers"][label].append(row)
                     print(f"{label:>8} {kind:<9} n={n:<4} {json.dumps(row)}", flush=True)
 
     if args.perfbench_rounds:
         report["perfbench"] = perfbench_rounds(checkouts, args.perfbench_rounds,
-                                               args.perfbench_seed, args.perfbench_seconds)
+                                               args.perfbench_seed)
 
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -79,11 +79,6 @@ def value_ge_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a >= b) | values_close_array(a, b)
 
 
-def left_sum(terms: Iterable[float]) -> float:
-    """Float sum in iteration order, as sum() was before 3.12 compensated it."""
-    return reduce(add, terms, 0.0)
-
-
 def sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
     """Canonical ascending-id tuple for an item set."""
     return tuple(sorted(ids))
@@ -102,15 +97,15 @@ def _mask_members(ids: tuple[str, ...], mask: int) -> tuple[str, ...]:
 
 def _fold(weights: tuple[float, ...], mask: int, start: float = 0.0, low: int = 0) -> float:
     """Left fold, from start, of the weights at the set bits of mask from bit
-    low up, in ascending bit order; with the defaults, left_sum of the
-    weights the mask names."""
+    low up, in ascending bit order; with the defaults, the sum of the weights
+    the mask names as sum() took it before 3.12 compensated it."""
     return reduce(add, compress(weights[low:], _bit_flags(mask >> low)), start)
 
 
 def _subset_sums(empty: np.ndarray, terms: Iterable) -> np.ndarray:
     """The sum of every subset of terms, indexed by bitmask, starting from the
     one-element array empty.  Each term doubles the array, so every sum adds
-    its members in ascending bit order, a left fold as left_sum takes it."""
+    its members in ascending bit order, the left fold _fold takes."""
     sums = empty
     for term in terms:
         sums = np.concatenate((sums, sums + term))

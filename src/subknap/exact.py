@@ -485,7 +485,7 @@ def _lemma_draws(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _left_fold(terms: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D array, each a left fold from 0.0 as core.left_sum
+    """Row sums of a 2-D array, each a left fold from 0.0 as core._fold
     takes it, so that adding an absent member's 0.0 leaves every bit alone."""
     total = np.zeros(len(terms))
     for column in terms.T:

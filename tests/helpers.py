@@ -2,18 +2,26 @@
 
 import bisect
 import random
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
 from subknap.core import (ConcaveModularOracle, CoverageOracle, Instance, Item,
                           ModularOracle, TableOracle, ValidationReport,
-                          ValueOracle, Violation, curvature, left_sum,
+                          ValueOracle, Violation, curvature,
                           size_breakpoints, sorted_ids, value_gt, values_close)
 from subknap.exact import MAX_CURVATURE_EXHAUSTIVE, CheckReport, _Recorder
 from subknap.generate import GeneratorSpec
 from subknap.greedy import greedy_sequence
 from subknap.policy import is_indispensable
+
+
+def left_sum(terms) -> float:
+    """Float sum in iteration order, as sum() was before 3.12 compensated it."""
+    return reduce(add, terms, 0.0)
+
 
 CORPUS_KINDS = ("modular", "coverage", "concave_modular", "planted")
 SEEDS_PER_KIND = 50

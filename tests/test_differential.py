@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_curvature_lemma, reference_greedy,
+from helpers import (left_sum, reference_curvature_lemma, reference_greedy,
                      reference_interval, reference_lemma_draws, reference_opt,
                      reference_policy, reference_scan_oracle,
                      reference_start_list, reference_subset_table,
@@ -26,7 +26,7 @@ from subknap import exact
 from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
-                          instance_to_dict, left_sum, normalize_instance,
+                          instance_to_dict, normalize_instance,
                           subset_table, validate_oracle)
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
