@@ -17,9 +17,9 @@ CPU seconds (time.process_time) one phase:
 - ``policy``: ``start_item_list``, then ``execute_policy`` at the 200
   capacities of the benchmark's grid (k/200 of the total size, rounded).
 
-Each child reports its ru_maxrss, the size of the oracle memo and a digest of
-what the phase computed (the order, the start list, or every trace), so that
-two checkouts can be compared for equal answers.  A child runs under an
+Each child reports its ru_maxrss and a digest of what the phase computed (the
+order, the start list, or every trace), so that two checkouts can be compared
+for equal answers.  A child runs under an
 address-space limit of MAX_MB and a wall-time limit of TIMEOUT_S; one that
 exceeds either is recorded as failed, with the reason.
 
@@ -76,7 +76,7 @@ def _child(kind: str, n: int, phase: str) -> dict:
     cpu = time.process_time() - start
     return {"kind": kind, "n": n, "phase": phase, "cpu_s": round(cpu, 3),
             "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-            "memo_subsets": len(instance.oracle._cache), "digest": _digest(result)}
+            "digest": _digest(result)}
 
 
 def _run_child(checkout: Path, kind: str, n: int, phase: str) -> dict:

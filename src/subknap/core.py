@@ -164,14 +164,9 @@ class Item:
 class ValueOracle:
     """Monotone, normalized, submodular set function queried by item subset.
 
-    Results of evaluate are memoized per subset; the cache never changes
-    observable behavior and is safe for concurrent read-only callers.  The
-    memo serves whole-set lookups only (singletons, solutions, curvature):
-    greedy and the policy value their candidates from a packed_state, which
-    for the parametric families carries a fold and never touches the memo,
-    and the policy keeps its step-3 choices per instance, at most one per
-    fit-answer history reached, each the same from every writer
-    (execute_policy).
+    evaluate computes each value afresh, with no memo per subset: what is
+    derived from an instance is kept once, on the instance (Instance.cached),
+    and greedy and the policy value their candidates from a packed_state.
     """
 
     kind = "abstract"
@@ -179,7 +174,6 @@ class ValueOracle:
 
     def __init__(self, domain: Iterable[str]):
         self._domain = frozenset(domain)
-        self._cache: dict[frozenset[str], float] = {}
         # a value is a float sum of at most this many nonnegative terms
         self._addends = max(1, len(self._domain))
         self._rounding: float | None = None
@@ -193,11 +187,7 @@ class ValueOracle:
         unknown = s - self._domain
         if unknown:
             raise KeyError(f"unknown item ids: {sorted(unknown)}")
-        v = self._cache.get(s)
-        if v is None:
-            v = self._value(s)
-            self._cache[s] = v
-        return v
+        return self._value(s)
 
     def _value(self, s: frozenset[str]) -> float:
         raise NotImplementedError
@@ -208,8 +198,8 @@ class ValueOracle:
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         """_value of every subset of ids (the ascending domain) as float64,
-        indexed by bitmask (see Instance.subset); bypasses the memo.  This one
-        calls _value once per subset; parametric oracles fold instead."""
+        indexed by bitmask (see Instance.subset).  This one calls _value once
+        per subset; parametric oracles fold instead."""
         count = 1 << len(ids)
         return np.fromiter((self._value(frozenset(_mask_members(ids, m)))
                             for m in range(count)), dtype=np.float64, count=count)
@@ -239,7 +229,7 @@ class ValueOracle:
 
 class PackedState:
     """A set packed one item at a time, and the value it would have with
-    one more item.  This one evaluates the whole set through the memo."""
+    one more item.  This one takes _value of the whole set (a table's dict)."""
 
     def __init__(self, oracle: ValueOracle):
         self._oracle = oracle
@@ -247,7 +237,7 @@ class PackedState:
 
     def value_with(self, item_id: str) -> float:
         """Value of the packed set plus item_id."""
-        return self._oracle.evaluate(self.packed | {item_id})
+        return self._oracle._value(self.packed | {item_id})
 
     def pack(self, item_id: str) -> None:
         self.packed = self.packed | {item_id}
@@ -541,11 +531,12 @@ class Instance:
         """Result of build() memoized on this instance under key.
 
         Instances and their oracles are immutable, so what is derived from
-        them is computed once per instance: the validation verdict, greedy
-        orders, the start list, the policy's step-3 choices per fit-answer
-        history, singletons, the subset table (every subset's value, which
-        validation, the curvature lemma and the optimum read in place of the
-        memo), breakpoints, curvature and the optimum per capacity.
+        them is computed once per instance, here and nowhere else: the
+        validation verdict, greedy orders with the value of each prefix, the
+        start list, the policy's step-3 choices per fit-answer history,
+        singletons, the subset table (every subset's value, which validation,
+        the curvature lemma and the optimum read), breakpoints, curvature and
+        the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -586,6 +577,12 @@ def size_breakpoints(items: Iterable[Item]) -> tuple[int, ...]:
     return tuple(sorted(sums))
 
 
+def singletons(instance: Instance) -> dict[str, float]:
+    """The value of each item alone, by ascending id; once per instance."""
+    return instance.cached("singletons", lambda: {
+        i: instance.oracle.evaluate((i,)) for i in instance.ids})
+
+
 def guard_exhaustive(instance: Instance) -> None:
     """Refuse an instance too large for the exhaustive routines."""
     if instance.n > MAX_EXHAUSTIVE_ITEMS:
@@ -597,13 +594,13 @@ def guard_exhaustive(instance: Instance) -> None:
 def subset_table(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The value (float64) and the total size (int64) of every subset as
     numpy arrays indexed by bitmask (see Instance.subset).  Built once per
-    instance without the memo, so the memo keeps no copy: sizes and modular
-    values by doubling the array once per id, coverage values by one fold
-    over the sorted elements, concave-modular values as Python powers of the
-    modular sums, and any other oracle (a table reads its dict) by one _value
-    call per subset.  Each value is the float _value gives, bit for bit.
-    Validation, the curvature lemma and the optimum read these arrays.  Sizes
-    whose total exceeds int64 stay Python ints.  It allocates 2^n rows, so it
+    instance: sizes and modular values by doubling the array once per id,
+    coverage values by one fold over the sorted elements, concave-modular
+    values as Python powers of the modular sums, and any other oracle (a
+    table reads its dict) by one _value call per subset.  Each value is the
+    float _value gives, bit for bit.  Validation, the curvature lemma and the
+    optimum read these arrays.  Sizes whose total exceeds int64 stay Python
+    ints.  It allocates 2^n rows, so it
     refuses more than MAX_EXHAUSTIVE_ITEMS items."""
     guard_exhaustive(instance)
 
@@ -717,8 +714,8 @@ def normalize_instance(instance: Instance) -> Instance:
     """Drop items whose singleton value is zero; they never change a valid
     objective, so an invalid one is refused first."""
     check_oracle(instance)
-    keep = [it for it in instance.items
-            if not values_close(instance.oracle.evaluate({it.id}), 0.0)]
+    values = singletons(instance)
+    keep = [it for it in instance.items if not values_close(values[it.id], 0.0)]
     if len(keep) == len(instance.items):
         return instance
     normalized = Instance(tuple(keep), instance.oracle.restrict(it.id for it in keep))
@@ -744,8 +741,7 @@ def _curvature(instance: Instance) -> float:
     ids = instance.ids
     full = instance.value(ids)
     worst = math.inf
-    for j in ids:
-        singleton = instance.value({j})
+    for j, singleton in singletons(instance).items():
         if not value_gt(singleton, 0.0):
             raise ValueError(
                 f"curvature requires strictly positive singletons; f({{{j}}}) = {singleton}")

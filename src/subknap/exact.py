@@ -316,7 +316,7 @@ def check_theorem6(instance: Instance, gamma: int) -> CheckReport:
     rec = _Recorder()
     for j in range(1, run.k + 1):
         factor = bounds.prefix_bound(c, run.prefix_sizes[j - 1] / gamma)
-        fj, bound = instance.value(run.prefix(j)), factor * opt
+        fj, bound = run.values[j - 1], factor * opt
         rec.observe(lambda: f"gamma={gamma} j={j}: f(G_j)={fj!r} bound={bound!r}",
                     fj, bound)
     return CheckReport("theorem6", rec.trials, tuple(rec.failures), rec.worst)
@@ -352,7 +352,7 @@ def check_lemma2(instance: Instance, gamma: int) -> CheckReport:
     sum_delta = 0.0
     sum_chi_delta = 0.0
     for j in range(1, upto + 1):
-        delta = run.marginals[j - 1]
+        delta = run.values[j - 1] - (run.values[j - 2] if j >= 2 else 0.0)
         sj = instance.size(run.order[j - 1])
         prefix_size = run.prefix_sizes[j - 2] if j >= 2 else 0
 

@@ -12,8 +12,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (Instance, PackedState, check_capacity, check_oracle, value_ge,
-                   value_gt)
+from .core import (Instance, PackedState, check_capacity, check_oracle, singletons,
+                   value_ge, value_gt)
 
 
 @dataclass(frozen=True)
@@ -22,15 +22,21 @@ class GreedyRun:
 
     The ordering is computed without a packing restriction: the prefix keeps
     growing past the capacity, so one run serves the packing algorithms, the
-    prefix bounds, and the indispensability machinery.
+    prefix bounds, and the indispensability machinery.  values[j - 1] is the
+    value of the first j items as the run packed them.
     """
 
     capacity: int
     order: tuple[str, ...]
-    marginals: tuple[float, ...]
+    values: tuple[float, ...]
     prefix_sizes: tuple[int, ...]
     k: int
     overflow_item: str | None
+
+    @property
+    def marginals(self) -> tuple[float, ...]:
+        """Gain of each item of the order on the items before it."""
+        return tuple(b - a for a, b in zip((0.0, *self.values), self.values))
 
     def prefix(self, j: int) -> frozenset[str]:
         """Items at positions 1..j as a set."""
@@ -48,9 +54,15 @@ class Solution:
     total_size: int
 
 
-def make_solution(instance: Instance, ids) -> Solution:
-    items = frozenset(ids)
-    return Solution(items, instance.value(items), instance.total_size(items))
+def _prefix_solution(run: GreedyRun) -> Solution:
+    k = run.k
+    return Solution(run.fitting_prefix, run.values[k - 1] if k else 0.0,
+                    run.prefix_sizes[k - 1] if k else 0)
+
+
+def _single_solution(instance: Instance, item_id: str) -> Solution:
+    return Solution(frozenset((item_id,)), singletons(instance)[item_id],
+                    instance.size(item_id))
 
 
 def best_density_item(instance: Instance, state: PackedState, packed_value: float,
@@ -81,9 +93,9 @@ class DensityQueue:
 
     Candidates are valued by the oracle's packed_state, carried through
     pack: for coverage, modular and concave-modular oracles a fold over the
-    covered elements that gives _value's floats without building a set or
-    reading the memo, which serves whole-set lookups only; for a table, the
-    memo on the packed set plus one item.
+    covered elements that gives _value's floats without building a set; for
+    a table, its dict entry for the packed set plus one item.  packed_value
+    is the value of the packed set, that float too.
 
     Every candidate keeps the density it had when last evaluated, on a
     subset of the current packed set.  By submodularity that density bounds
@@ -104,24 +116,17 @@ class DensityQueue:
 
     def __init__(self, instance: Instance, candidates: Iterable[str]):
         check_oracle(instance)  # the bounds rely on a valid objective
-        oracle = instance.oracle
         self._instance = instance
-        self._state = oracle.packed_state()
+        self._state = instance.oracle.packed_state()
         self.packed_value = 0.0
         self._live = sorted(candidates)
-        # per live candidate: density bound, len(packed) when it was
-        # computed, and the packed value with the candidate at that time
-        self._bound: dict[str, float] = {}
-        self._stamp: dict[str, int] = {}
-        self._value: dict[str, float] = {}
-        singletons = instance.cached(
-            "singletons", lambda: {i: oracle.evaluate((i,)) for i in instance.ids})
-        for iid in self._live:
-            # singleton densities are densities on the empty set
-            v = singletons[iid]
-            self._bound[iid] = v / instance.size(iid)
-            self._stamp[iid] = 0
-            self._value[iid] = v
+        # per live candidate: the packed value with the candidate, its
+        # density bound and len(packed), when last evaluated; at first its
+        # singleton value and density, which are those on the empty set
+        values = singletons(instance)
+        self._value = {iid: values[iid] for iid in self._live}
+        self._bound = {iid: v / instance.size(iid) for iid, v in self._value.items()}
+        self._stamp = dict.fromkeys(self._live, 0)
         self._heap = [(-b, iid) for iid, b in self._bound.items()]
         heapq.heapify(self._heap)
 
@@ -223,13 +228,13 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     gamma = check_capacity(gamma)
     threshold = max((it.size for it in instance.items if it.size <= gamma),
                     default=0)
-    order, marginals, prefix_sizes = instance.cached(
+    order, values, prefix_sizes = instance.cached(
         ("greedy", threshold), lambda: _greedy_order(instance, threshold))
     k = bisect.bisect_right(prefix_sizes, gamma)
     return GreedyRun(
         capacity=gamma,
         order=order,
-        marginals=marginals,
+        values=values,
         prefix_sizes=prefix_sizes,
         k=k,
         overflow_item=order[k] if k < len(order) else None,
@@ -238,53 +243,52 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
 
 def _greedy_order(instance: Instance, threshold: int
                   ) -> tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]:
-    """(order, marginals, prefix sizes) of the items of size <= threshold."""
+    """(order, prefix values, prefix sizes) of the items of size <= threshold."""
     queue = DensityQueue(instance,
                          (it.id for it in instance.items if it.size <= threshold))
     order: list[str] = []
-    marginals: list[float] = []
+    values: list[float] = []
     prefix_sizes: list[int] = []
     total = 0
     while queue:
         best_id, best_value = queue.select()
         order.append(best_id)
-        marginals.append(best_value - queue.packed_value)
+        values.append(best_value)
         total += instance.size(best_id)
         prefix_sizes.append(total)
         queue.pack(best_id, best_value)
-    return tuple(order), tuple(marginals), tuple(prefix_sizes)
+    return tuple(order), tuple(values), tuple(prefix_sizes)
 
 
 def mgreedy(instance: Instance, gamma: int) -> Solution:
     """Better of the fitting greedy prefix and the first overflowing item."""
     run = greedy_sequence(instance, gamma)
-    prefix = run.fitting_prefix
-    if run.overflow_item is None:
-        return make_solution(instance, prefix)
-    if value_ge(instance.value(prefix), instance.value({run.overflow_item})):
-        return make_solution(instance, prefix)
-    return make_solution(instance, {run.overflow_item})
+    prefix = _prefix_solution(run)
+    if run.overflow_item is None or value_ge(
+            prefix.value, singletons(instance)[run.overflow_item]):
+        return prefix
+    return _single_solution(instance, run.overflow_item)
 
 
 def agreedy(instance: Instance, gamma: int) -> Solution:
     """Greedy prefix, unless the overflowing item's marginal on it strictly
     beats the prefix value; then that single item."""
     run = greedy_sequence(instance, gamma)
-    override = _override_item(instance, run)
+    override = _override_item(run)
     if override is not None:
-        return make_solution(instance, {override})
-    return make_solution(instance, run.fitting_prefix)
+        return _single_solution(instance, override)
+    return _prefix_solution(run)
 
 
 def agreedy_override(instance: Instance, gamma: int) -> str | None:
     """Id of the single item agreedy returns instead of the prefix, if any."""
-    return _override_item(instance, greedy_sequence(instance, gamma))
+    return _override_item(greedy_sequence(instance, gamma))
 
 
-def _override_item(instance: Instance, run: GreedyRun) -> str | None:
+def _override_item(run: GreedyRun) -> str | None:
     if run.overflow_item is None:
         return None
-    marginal = run.marginals[run.k]
-    if value_gt(marginal, instance.value(run.fitting_prefix)):
+    prefix_value = run.values[run.k - 1]  # the first item always fits
+    if value_gt(run.values[run.k] - prefix_value, prefix_value):
         return run.overflow_item
     return None

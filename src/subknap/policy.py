@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import Instance, Item, check_capacity, sorted_ids
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
-                     greedy_sequence, make_solution)
+                     greedy_sequence)
 
 REASON_INDISPENSABLE = "indispensable"
 REASON_FIRST_GREEDY = "first_greedy"
@@ -119,7 +119,7 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
     """
     it = _resolve(instance, item)
     run = greedy_sequence(instance, it.size)
-    if run.k >= 1 and run.overflow_item == it.id and _override_item(instance, run):
+    if run.k >= 1 and run.overflow_item == it.id and _override_item(run):
         return IndispensabilityResult(True, run.fitting_prefix)
     return IndispensabilityResult(False, frozenset())
 
@@ -250,6 +250,6 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
 
     return PolicyTrace(
         attempts=tuple(attempts),
-        packed=make_solution(instance, queue.packed),
+        packed=Solution(queue.packed, queue.packed_value, packed_size),
         query_count=oracle.query_count,
     )

@@ -226,9 +226,9 @@ def reference_policy(instance: Instance, gamma: int,
 
 
 def reference_subset_table(instance: Instance) -> tuple:
-    """(sorted ids, total size, value) for every subset, values through the
-    oracle memo, as the exhaustive optimum built its table before the table
-    became the one store of subset values."""
+    """(sorted ids, total size, value) for every subset, each value one
+    oracle.evaluate, as the exhaustive optimum built its table before the
+    table became the one store of subset values."""
     ids = list(instance.ids)
     sizes = [instance.size(i) for i in ids]
     value_of = instance.oracle.evaluate
@@ -303,8 +303,23 @@ def reference_interval(instance: Instance, item_id: str) -> tuple[int, int] | No
 
 # ---------------------------------------------------------------------------
 # validation and the curvature lemma as they were written before both read
-# subset values by bitmask: frozensets of ids, every value through the
-# oracle memo.  Float sums fold left, as the library's do on every Python.
+# subset values by bitmask: frozensets of ids, every value through a memo per
+# subset (memo_values).  Float sums fold left, as the library's do on every
+# Python.
+
+def memo_values(oracle: ValueOracle):
+    """oracle.evaluate with a memo per subset, new for each reference call:
+    the references read one subset many times, and evaluate computes every
+    value afresh."""
+    memo: dict[frozenset, float] = {}
+
+    def value_of(ids) -> float:
+        s = frozenset(ids)
+        if s not in memo:
+            memo[s] = oracle.evaluate(s)
+        return memo[s]
+    return value_of
+
 
 def _reference_subsets(ids: list[str]):
     n = len(ids)
@@ -317,8 +332,9 @@ def reference_scan_oracle(oracle: ValueOracle, ids: list[str],
     """The validation scan over every subset, item and item pair; the
     library has no other, so `exhaustive` must be True."""
     assert exhaustive
+    value_of = memo_values(oracle)
     found: list[Violation] = []
-    empty = oracle.evaluate(())
+    empty = value_of(())
     if not values_close(empty, 0.0):
         found.append(Violation("normalized", (), (), abs(empty)))
 
@@ -327,14 +343,14 @@ def reference_scan_oracle(oracle: ValueOracle, ids: list[str],
                  for u1, u2 in combinations([i for i in ids if i not in a], 2))
 
     for a, u in mono_cases:
-        before, after = oracle.evaluate(a), oracle.evaluate(a | {u})
+        before, after = value_of(a), value_of(a | {u})
         if value_gt(before, after):
             found.append(Violation("monotone", sorted_ids(a), (u,), before - after))
             break
 
     for a, u1, u2 in sub_cases:
-        lhs = oracle.evaluate(a | {u1}) + oracle.evaluate(a | {u2})
-        rhs = oracle.evaluate(a | {u1, u2}) + oracle.evaluate(a)
+        lhs = value_of(a | {u1}) + value_of(a | {u2})
+        rhs = value_of(a | {u1, u2}) + value_of(a)
         if value_gt(rhs, lhs):
             found.append(Violation("submodular", sorted_ids(a), (u1, u2), rhs - lhs))
             break
@@ -365,7 +381,7 @@ def reference_curvature_lemma(instance: Instance, trials: int = 10000,
     c = curvature(instance)
     ids = list(instance.ids)
     n = len(ids)
-    value_of = instance.oracle.evaluate
+    value_of = memo_values(instance.oracle)
     rec = _Recorder()
     counts = {"marginal_lower": 0, "disjoint_union": 0, "marginal_sum_upper": 0}
 

@@ -31,7 +31,7 @@ from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
-from subknap.greedy import greedy_sequence
+from subknap.greedy import agreedy, greedy_sequence, mgreedy
 from subknap.policy import (FitOracle, execute_policy, indispensability_interval,
                             make_fit_oracle, start_item_list)
 from test_cli import _thirteen_item_table
@@ -203,7 +203,7 @@ def test_interval_ends_at_head_change_past_a_subset_sum():
 # ---------------------------------------------------------------------------
 # the exhaustive optimum, cached per capacity and replayed over a band of a
 # size-sorted table of folded values, against one scan per capacity over a
-# table built through the memo; every capacity, breakpoint or not
+# table of one evaluate per subset; every capacity, breakpoint or not
 
 def _assert_opt_matches_reference(instance) -> None:
     table = reference_subset_table(instance)
@@ -452,6 +452,60 @@ def test_table_shared_choices_match_cold():
                             "d": 1.0, "e": 0.5 + 0.4 * TOL}, "de")]:
         _assert_shared_choices_match_cold(_bumped_table(weights, pair))
     _assert_shared_choices_match_cold(_tie_chain_table(7))
+
+
+# ---------------------------------------------------------------------------
+# greedy runs and the policy keep the value of each set they pack, and
+# solutions and checkers read those values in place of valuing the set again:
+# each must be the float a fresh _value of the set gives, and the reference's
+
+def _assert_packed_float(oracle, items, value: float) -> None:
+    s = frozenset(items)
+    assert value.hex() == oracle._value(s).hex() == reference_value(oracle, s).hex(), \
+        sorted(s)
+
+
+def _assert_run_values_match_value(instance, capacities) -> None:
+    oracle = instance.oracle
+    for size in sorted({it.size for it in instance.items}):  # every threshold
+        run = greedy_sequence(instance, size)
+        for j, value in enumerate(run.values, start=1):
+            _assert_packed_float(oracle, run.order[:j], value)
+    for gamma in capacities:
+        for solution in (mgreedy(instance, gamma), agreedy(instance, gamma),
+                         execute_policy(instance, make_fit_oracle(gamma)).packed):
+            _assert_packed_float(oracle, solution.items, solution.value)
+            assert solution.total_size == sum(map(instance.size, solution.items))
+
+
+def _every_capacity(instance) -> range:
+    return range(1, instance.total_size(instance.ids) + 2)
+
+
+def test_corpus_run_values_match_value(corpus):
+    for _, instance in corpus:
+        _assert_run_values_match_value(instance, _every_capacity(instance))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["coverage", "modular", "concave_modular"])
+def test_generated_n100_run_values_match_value(kind, seed):
+    instance = generate_instance(
+        GeneratorSpec(kind, n=100, size_max=100, seed=seed, exponent=0.37))
+    total = instance.total_size(instance.ids)
+    _assert_run_values_match_value(
+        instance, sorted({max(1, round(k * total / 200)) for k in range(1, 201)}))
+
+
+def test_table_run_values_match_value():
+    for weights, pair in [({"a": 0.5, "b": 0.5 + 1.5 * TOL, "c": 1.0}, "ac"),
+                          ({"a": 0.5, "b": 0.5 + 0.8 * TOL, "c": 0.5 + 0.5 * TOL,
+                            "d": 1.0, "e": 0.5 + 0.4 * TOL}, "de")]:
+        for k in (1, 10, 1000):
+            instance = _bumped_table({i: w * k for i, w in weights.items()}, pair)
+            _assert_run_values_match_value(instance, _every_capacity(instance))
+    instance = _tie_chain_table(7)
+    _assert_run_values_match_value(instance, _every_capacity(instance))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from helpers import ex1, ex1_extended, ex3, superadditive_table
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           OracleValidationError, TableOracle, ValueOracle,
-                          normalize_instance, size_breakpoints)
+                          curvature, normalize_instance, size_breakpoints)
+from subknap.exact import breakpoints, check_theorem6
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap import policy
 from subknap.greedy import DensityQueue, agreedy, mgreedy
@@ -300,6 +301,35 @@ def test_policy_selects_once_per_history_and_values_stay_under_ceiling(monkeypat
             history = history << 1 | a.fitted
     assert selects <= len(histories)
     assert values <= VALUE_CALL_CEILING
+
+
+def test_solutions_and_theorem6_read_the_values_of_their_runs(corpus, monkeypatch):
+    # once the curvature, the start list (with the greedy orders and the
+    # singletons it reads) and the rounding bound are in place, every value
+    # a solution or the prefix check reports comes from the run that packed
+    # the set: none is evaluated again
+    instances = [inst for spec, inst in corpus
+                 if spec.kind in ("modular", "coverage", "concave_modular")]
+    for inst in instances:
+        curvature(inst)
+        start_item_list(inst)
+        inst.oracle.gain_drift(0)
+    calls = 0
+    evaluate = ValueOracle.evaluate
+
+    def counting(self, ids):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, ids)
+
+    monkeypatch.setattr(ValueOracle, "evaluate", counting)
+    for inst in instances:
+        for gamma in breakpoints(inst):
+            mgreedy(inst, gamma)
+            agreedy(inst, gamma)
+            execute_policy(inst, make_fit_oracle(gamma))
+            check_theorem6(inst, gamma)
+    assert calls == 0
 
 
 def test_policy_refuses_invalid_table_with_given_start_list():
