@@ -26,7 +26,7 @@ TOL = 1e-9
 #: the optimum at every breakpoint and validation peak below 300 MB
 #: ru_maxrss in one process (213 MB modular, 294 MB coverage, seed 0), and
 #: the sampled curvature lemma at MAX_LEMMA_TRIALS at 250 MB (CPython 3.11,
-#: numpy 2.4, scripts/bench_exhaustive.py).  Each further item doubles that.
+#: numpy 2.4, scripts/bench_layers.py).  Each further item doubles that.
 MAX_EXHAUSTIVE_ITEMS = 22
 #: base masks per block of the exhaustive scan, which bounds its arrays
 _SCAN_ROWS = 1024

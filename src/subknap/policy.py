@@ -115,7 +115,9 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
 
     True iff the item is the first to overflow that capacity at position two
     or later and its marginal on the packed prefix strictly exceeds the
-    prefix value; the prefix is returned for the policy's replay step.
+    prefix value.  The returned prefix is the packed set, for
+    `check_indispensable_properties` and callers; `execute_policy` takes its
+    ordered prefix from `greedy_sequence` instead.
     """
     it = _resolve(instance, item)
     run = greedy_sequence(instance, it.size)

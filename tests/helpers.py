@@ -110,9 +110,11 @@ def enumerate_opt(instance: Instance, gamma: int) -> tuple[frozenset, float]:
 # were written before both shared one density-selection helper; the
 # differential tests require identical results from the library
 
-def reference_greedy(instance: Instance, gamma: int) -> tuple:
-    """(order, marginals, prefix_sizes, k, overflow_item) of the greedy run."""
-    oracle = instance.oracle
+def reference_greedy(instance: Instance, gamma: int, value_of=None) -> tuple:
+    """(order, marginals, prefix_sizes, k, overflow_item) of the greedy run.
+    value_of (oracle.evaluate by default) values every set; callers that run
+    many references on one instance pass one memo_values for all of them."""
+    value_of = value_of or instance.oracle.evaluate
     remaining = sorted((it.id for it in instance.items if it.size <= gamma))
     packed: set[str] = set()
     packed_value = 0.0
@@ -126,7 +128,7 @@ def reference_greedy(instance: Instance, gamma: int) -> tuple:
         best_density = 0.0
         best_value = 0.0
         for iid in remaining:
-            v = oracle.evaluate(packed | {iid})
+            v = value_of(packed | {iid})
             density = (v - packed_value) / instance.size(iid)
             if best_id is None or value_gt(density, best_density):
                 best_id, best_density, best_value = iid, density, v
@@ -143,13 +145,13 @@ def reference_greedy(instance: Instance, gamma: int) -> tuple:
             order[k] if k < len(order) else None)
 
 
-def reference_start_list(instance: Instance) -> list[tuple[str, str]]:
+def reference_start_list(instance: Instance, value_of) -> list[tuple[str, str]]:
     """(item id, reason) start entries, indispensability decided inline."""
     entries = []
     for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
-        order, marginals, _, k, overflow = reference_greedy(instance, it.size)
+        order, marginals, _, k, overflow = reference_greedy(instance, it.size, value_of)
         if (overflow == it.id and k >= 1
-                and value_gt(marginals[k], instance.value(order[:k]))):
+                and value_gt(marginals[k], value_of(order[:k]))):
             entries.append((it.id, "indispensable"))
         elif entries and order[0] == it.id:
             entries.append((it.id, "first_greedy"))
@@ -157,9 +159,8 @@ def reference_start_list(instance: Instance) -> list[tuple[str, str]]:
 
 
 def reference_policy(instance: Instance, gamma: int,
-                     start_list: list[tuple[str, str]]) -> dict:
+                     start_list: list[tuple[str, str]], value_of) -> dict:
     """The oblivious policy at capacity gamma, in PolicyTrace.to_dict form."""
-    value_of = instance.oracle.evaluate
     queries = 0
 
     def fits(total: int) -> bool:
@@ -182,7 +183,7 @@ def reference_policy(instance: Instance, gamma: int,
             packed_size += size
             pool.discard(item_id)
             if reason == "indispensable":
-                order, _, _, k, _ = reference_greedy(instance, size)
+                order, _, _, k, _ = reference_greedy(instance, size, value_of)
                 prefix_order = order[:k]
             break
         pool = {i for i in pool if instance.size(i) < size}
@@ -308,9 +309,9 @@ def reference_interval(instance: Instance, item_id: str) -> tuple[int, int] | No
 # Python.
 
 def memo_values(oracle: ValueOracle):
-    """oracle.evaluate with a memo per subset, new for each reference call:
-    the references read one subset many times, and evaluate computes every
-    value afresh."""
+    """oracle.evaluate with a memo per subset, new for each reference call
+    or group of calls on one instance: the references read one subset many
+    times, and evaluate computes every value afresh."""
     memo: dict[frozenset, float] = {}
 
     def value_of(ids) -> float:

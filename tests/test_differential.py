@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (left_sum, reference_curvature_lemma, reference_greedy,
-                     reference_interval, reference_lemma_draws, reference_opt,
+from helpers import (left_sum, memo_values, reference_curvature_lemma,
+                     reference_greedy, reference_interval, reference_lemma_draws,
+                     reference_opt,
                      reference_policy, reference_scan_oracle,
                      reference_start_list, reference_subset_table,
                      reference_subset_values, reference_value, sneaky_bad_table,
@@ -38,14 +39,15 @@ from test_cli import _thirteen_item_table
 
 
 def _assert_matches_reference(instance, capacities) -> None:
-    start = reference_start_list(instance)
+    value_of = memo_values(instance.oracle)
+    start = reference_start_list(instance, value_of)
     assert [(e.item_id, e.reason) for e in start_item_list(instance)] == start
     for gamma in capacities:
         run = greedy_sequence(instance, gamma)
         assert (run.order, run.marginals, run.prefix_sizes, run.k,
-                run.overflow_item) == reference_greedy(instance, gamma)
+                run.overflow_item) == reference_greedy(instance, gamma, value_of)
         trace = execute_policy(instance, make_fit_oracle(gamma))
-        assert trace.to_dict() == reference_policy(instance, gamma, start)
+        assert trace.to_dict() == reference_policy(instance, gamma, start, value_of)
 
 
 def test_corpus_matches_reference_at_every_breakpoint(corpus):
