@@ -159,6 +159,8 @@ def _cmd_verify(args) -> int:
     if not 1 <= args.trials <= exact.MAX_LEMMA_TRIALS:
         raise ConfigurationError(
             f"--trials must lie in [1, {exact.MAX_LEMMA_TRIALS}], got {args.trials}")
+    if args.seed < 0:  # random.Random would take its absolute value
+        raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     instance = load_instance(args.instance)
     report = validate_oracle(instance)
     if report.ok:

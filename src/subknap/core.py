@@ -192,9 +192,10 @@ class ValueOracle:
     def _value(self, s: frozenset[str]) -> float:
         raise NotImplementedError
 
-    def packed_state(self) -> "PackedState":
-        """An empty set to pack items into, which values a set plus one item."""
-        return PackedState(self)
+    def packed_state(self, items: Iterable[str] = ()) -> "PackedState":
+        """The set of items (empty by default) to pack more into, which
+        values the set plus one item."""
+        return PackedState(self, items)
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         """_value of every subset of ids (the ascending domain) as float64,
@@ -231,9 +232,9 @@ class PackedState:
     """A set packed one item at a time, and the value it would have with
     one more item.  This one takes _value of the whole set (a table's dict)."""
 
-    def __init__(self, oracle: ValueOracle):
+    def __init__(self, oracle: ValueOracle, items: Iterable[str] = ()):
         self._oracle = oracle
-        self.packed: frozenset[str] = frozenset()
+        self.packed: frozenset[str] = frozenset(items)
 
     def value_with(self, item_id: str) -> float:
         """Value of the packed set plus item_id."""
@@ -250,14 +251,17 @@ class _FoldState(PackedState):
     A candidate is valued as the prefix up to its lowest new rank, with the
     fold continued from there over the covered and the new ranks: the
     additions of _value in the same order, so the same float.  A candidate
-    that covers nothing new leaves the packed value as it is.
+    that covers nothing new leaves the packed value as it is.  The prefix
+    folds depend only on the covered mask, so a state built from a set in
+    one fold equals one packed an item at a time.
     """
 
-    def __init__(self, oracle: "_FoldedOracle"):
-        super().__init__(oracle)
+    def __init__(self, oracle: "_FoldedOracle", items: Iterable[str] = ()):
+        super().__init__(oracle, items)
         self._weights, self._covers = oracle._weight_of_rank, oracle._ranks_of
         self._covered = 0
         self._prefix = [0.0] * (len(self._weights) + 1)
+        self._cover(reduce(or_, map(self._covers.__getitem__, self.packed), 0))
 
     def value_with(self, item_id: str) -> float:
         covered = self._covered
@@ -270,7 +274,10 @@ class _FoldState(PackedState):
 
     def pack(self, item_id: str) -> None:
         super().pack(item_id)
-        new = self._covers[item_id] & ~self._covered
+        self._cover(self._covers[item_id] & ~self._covered)
+
+    def _cover(self, new: int) -> None:
+        """Add the uncovered ranks new to the mask and refold from the lowest."""
         if new:
             low = (new & -new).bit_length() - 1
             self._covered |= new
@@ -305,8 +312,8 @@ class _FoldedOracle(ValueOracle):
         covered = reduce(or_, map(self._ranks_of.__getitem__, s), 0)
         return self._finish(_fold(self._weight_of_rank, covered))
 
-    def packed_state(self) -> PackedState:
-        return _FoldState(self)
+    def packed_state(self, items: Iterable[str] = ()) -> PackedState:
+        return _FoldState(self, items)
 
 
 def _check_weights(weights: Mapping[str, float], what: str = "weight for") -> None:
@@ -533,10 +540,12 @@ class Instance:
         Instances and their oracles are immutable, so what is derived from
         them is computed once per instance, here and nowhere else: the
         validation verdict, greedy orders with the value of each prefix, the
-        start list, the policy's step-3 choices per fit-answer history,
-        singletons, the subset table (every subset's value, which validation,
-        the curvature lemma and the optimum read), breakpoints, curvature and
-        the optimum per capacity.
+        start list, the policy's decisions per fit-answer history (the next
+        item tried and the packed value if it fits, or () where the run
+        ends; at most one more than the fit queries answered), singletons,
+        the subset table (every subset's value, which validation, the
+        curvature lemma and the optimum read), breakpoints, curvature and the
+        optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()

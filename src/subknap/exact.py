@@ -397,14 +397,17 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
       marginal_sum_upper:  f(B) <= f(A) + sum of marginals of B - A on A
     The sets of all trials are numpy arrays of bitmasks over instance.ids,
     valued from core.subset_table and checked as array operations.  It
-    refuses more than MAX_EXHAUSTIVE_ITEMS items (GuardError) and more than
-    MAX_LEMMA_TRIALS trials (ValueError), which bounds its memory: at 22
-    items and 10^5 trials a process peaks at about 250 MB ru_maxrss, 131 MB
-    of it the subset table (CPython 3.11, numpy 2.4, modular seed 0).
+    refuses a negative seed (ValueError), and more than MAX_EXHAUSTIVE_ITEMS
+    items (GuardError) or MAX_LEMMA_TRIALS trials (ValueError), which bounds
+    its memory: at 22 items and 10^5 trials a process peaks at about 250 MB
+    ru_maxrss, 131 MB of it the subset table (CPython 3.11, numpy 2.4,
+    modular seed 0).
     """
     guard_exhaustive(instance)
     if not 1 <= trials <= MAX_LEMMA_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_LEMMA_TRIALS}], got {trials}")
+    if seed < 0:  # random.Random would take its absolute value
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     c = curvature(instance)
     n, subset = instance.n, instance.subset
     bit = 1 << np.arange(n, dtype=np.int64)

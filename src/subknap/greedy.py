@@ -87,24 +87,27 @@ def best_density_item(instance: Instance, state: PackedState, packed_value: floa
 
 
 class DensityQueue:
-    """Candidates packed one by one into an initially empty set; select()
-    picks as best_density_item would, but evaluates lazily (Minoux 1978).
-    The candidates only shrink: by pack, drop and discard_from.
+    """Candidates packed one by one into a set, empty unless packed names
+    its items and packed_value its value; select() picks as
+    best_density_item would, but evaluates lazily (Minoux 1978).  The
+    candidates only shrink: by pack, drop and discard_from.
 
-    Candidates are valued by the oracle's packed_state, carried through
-    pack: for coverage, modular and concave-modular oracles a fold over the
-    covered elements that gives _value's floats without building a set; for
-    a table, its dict entry for the packed set plus one item.  packed_value
-    is the value of the packed set, that float too.
+    Candidates are valued by the oracle's packed_state, built once from the
+    packed items and carried through pack: for coverage, modular and
+    concave-modular oracles a fold over the covered elements that gives
+    _value's floats without building a set; for a table, its dict entry for
+    the packed set plus one item.  packed_value is the value of the packed
+    set, that float too.
 
     Every candidate keeps the density it had when last evaluated, on a
-    subset of the current packed set.  By submodularity that density bounds
-    its current one from above, up to the oracle's gain_drift, so a selection
-    re-evaluates only candidates at the head of a max-heap of bounds.  That
-    holds however many packs passed since, so a caller may pack without
-    selecting in between: execute_policy does where its choice cache (one
-    entry per step-3 decision reached on the instance, the same pair from
-    every writer) already holds the choice.
+    subset of the current packed set; at first its singleton density, on
+    the empty set.  By submodularity that density bounds its current one
+    from above, up to the oracle's gain_drift, so a selection re-evaluates
+    only candidates at the head of a max-heap of bounds.  That holds however
+    many packs passed since, so a queue built on a packed set selects as
+    one that packed the same set without selecting; execute_policy builds
+    its queue that way, at its first fit-answer history with no kept
+    decision, and before any selection.
 
     The scan's tie rule is not transitive, so a lazy winner is accepted only
     where it provably equals the scan's: (a) the freshly evaluated head beats
@@ -114,15 +117,17 @@ class DensityQueue:
     with the scan's arithmetic, so equal choices give equal floats.
     """
 
-    def __init__(self, instance: Instance, candidates: Iterable[str]):
+    def __init__(self, instance: Instance, candidates: Iterable[str],
+                 packed: Iterable[str] = (), packed_value: float = 0.0):
         check_oracle(instance)  # the bounds rely on a valid objective
         self._instance = instance
-        self._state = instance.oracle.packed_state()
-        self.packed_value = 0.0
+        self._state = instance.oracle.packed_state(packed)
+        self.packed_value = packed_value
         self._live = sorted(candidates)
         # per live candidate: the packed value with the candidate, its
         # density bound and len(packed), when last evaluated; at first its
-        # singleton value and density, which are those on the empty set
+        # singleton value and density, which are those on the empty set, so
+        # stamp 0 is fresh only while nothing is packed
         values = singletons(instance)
         self._value = {iid: values[iid] for iid in self._live}
         self._bound = {iid: v / instance.size(iid) for iid, v in self._value.items()}

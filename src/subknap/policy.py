@@ -10,6 +10,7 @@ fit queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Instance, Item, check_capacity, sorted_ids
@@ -194,64 +195,93 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
 
     The fit answers so far decide what is packed and what is left in the
     pool, so on one instance the policy is one decision tree over them.  Its
-    step-3 choices are kept per instance ("policy_choices"), keyed by every
-    answer so far as the bits of an int after a leading 1: at most one entry
-    per step-3 decision ever reached, each the (item, value with it) pair
-    DensityQueue.select returned.  A run that finds its choice kept still
-    packs and discards, but does not select; the queue's density bounds stay
-    valid across the packs it skips.  Concurrent callers may share the
-    cache, since every writer of an entry stores the same pair.
+    decisions are kept per instance ("policy_choices"), keyed by every
+    answer so far as the bits of an int after a leading 1: for each history
+    ever reached, the next item tried and the packed value if it fits, or ()
+    where the pool is empty and the run ends.  That is at most one entry
+    more than the fit queries ever answered on the instance.
+
+    A run walks the kept decisions keeping only the packed items, their
+    value and size, the smallest size that failed in steps 1 and 3, and the
+    step-2 items that failed.  At its first history with no kept decision it
+    builds a DensityQueue once, on the packed set, over the pool those
+    leave, and decides from there on.  No selection runs on a history
+    before its first unseen one, so every bound of that queue is still the
+    singleton bound, as in a queue that replayed every pack and discard:
+    the choices and floats are the same.  Concurrent callers may share the
+    cache, since every writer of an entry stores the same decision.
     """
-    queue = DensityQueue(instance, instance.ids)
     start_list = instance.cached("start_list", lambda: start_item_list(instance))
-    choices = instance.cached("policy_choices", dict)
+    decisions = instance.cached("policy_choices", dict)
+    packed: set[str] = set()
+    packed_value = 0.0
     packed_size = 0
+    failed = math.inf  # every pool item is smaller
+    dropped: set[str] = set()  # step-2 items that did not fit
     history = 1  # every fit answer so far, one bit each, after a leading 1
     attempts: list[PolicyAttempt] = []
+    queue: DensityQueue | None = None
 
-    def attempt(item_id: str, phase: str) -> bool:
-        nonlocal packed_size, history
+    def decide(compute) -> tuple:
+        """The decision kept at this history, else compute(queue)'s, kept."""
+        nonlocal queue
+        decision = decisions.get(history)
+        if decision is None:
+            if queue is None:
+                pool = (i for i in instance.ids if i not in packed
+                        and i not in dropped and instance.size(i) < failed)
+                queue = DensityQueue(instance, pool, packed, packed_value)
+            decision = decisions[history] = compute(queue)
+        return decision
+
+    def try_next(item_id: str) -> tuple[str, float]:
+        return decide(lambda queue: (item_id, queue.value_with(item_id)))
+
+    def choose(queue: DensityQueue) -> tuple:
+        return queue.select() if queue else ()
+
+    def attempt(item_id: str, value: float, phase: str) -> bool:
+        nonlocal packed_value, packed_size, failed, history
         size = instance.size(item_id)
         ok = oracle.fits(packed_size + size)
         attempts.append(PolicyAttempt(item_id, ok, phase))
         history = history << 1 | bool(ok)  # fits may return any truth value
         if ok:
+            packed.add(item_id)
+            packed_value = value
             packed_size += size
+            if queue is not None:
+                queue.pack(item_id, value)
+        elif phase == PHASE_GREEDY_PREFIX:
+            dropped.add(item_id)
+            if queue is not None:
+                queue.drop(item_id)
+        else:
+            failed = size  # a pool item, so below every size that failed
+            if queue is not None:
+                queue.discard_from(size)
         return ok
 
     # Step 1: largest start item that fits opens the knapsack
     prefix_order: tuple[str, ...] = ()
     for entry in reversed(start_list.entries):
-        iid = entry.item_id
-        if attempt(iid, PHASE_START_ITEM):
-            queue.pack(iid, queue.value_with(iid))
+        if attempt(*try_next(entry.item_id), PHASE_START_ITEM):
             if entry.reason == REASON_INDISPENSABLE:
-                run = greedy_sequence(instance, instance.size(iid))
+                run = greedy_sequence(instance, instance.size(entry.item_id))
                 prefix_order = run.order[:run.k]
             break
-        queue.discard_from(instance.size(iid))
 
     # Step 2: replay the start item's greedy prefix in order
     for iid in prefix_order:
-        if attempt(iid, PHASE_GREEDY_PREFIX):
-            queue.pack(iid, queue.value_with(iid))
-        else:
-            queue.drop(iid)
+        attempt(*try_next(iid), PHASE_GREEDY_PREFIX)
 
     # Step 3: adaptive greedy over whatever is left; the answers so far
     # decide what is packed and what is left, so they decide the choice
-    while queue:
-        choice = choices.get(history)
-        if choice is None:
-            choice = choices[history] = queue.select()
-        best_id, best_value = choice
-        if attempt(best_id, PHASE_MAIN_GREEDY):
-            queue.pack(best_id, best_value)
-        else:
-            queue.discard_from(instance.size(best_id))
+    while decision := decide(choose):
+        attempt(*decision, PHASE_MAIN_GREEDY)
 
     return PolicyTrace(
         attempts=tuple(attempts),
-        packed=Solution(queue.packed, queue.packed_value, packed_size),
+        packed=Solution(frozenset(packed), packed_value, packed_size),
         query_count=oracle.query_count,
     )

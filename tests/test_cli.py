@@ -311,6 +311,24 @@ def test_verify_refuses_trials_before_building_the_table(trials, monkeypatch,
     assert built == []
 
 
+def test_verify_refuses_negative_seed_before_building_the_table(monkeypatch, tmp_path,
+                                                                capsys):
+    # random.Random takes the absolute value: --seed -7 would verify the
+    # samples of --seed 7 and exit 0
+    path = tmp_path / "x.json"
+    save_instance(generate_instance(GeneratorSpec("modular", n=20)), path)
+    built = []
+    table = core.subset_table
+    for module in (core, exact):
+        monkeypatch.setattr(module, "subset_table",
+                            lambda instance: built.append(instance) or table(instance))
+    assert main(["verify", "-i", str(path), "--seed", "-7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be nonnegative, got -7\n"
+    assert built == []
+
+
 def test_verify_missing_file_exit_2(tmp_path):
     assert main(["verify", "-i", str(tmp_path / "missing.json")]) == 2
 

@@ -1,6 +1,7 @@
 """Differential tests: greedy runs, start lists and policy traces equal those
 of the reference loops in helpers.py, on the whole corpus at every
-breakpoint and on one n=100 coverage instance past the exhaustive guard.
+breakpoint and on n=100 coverage and planted instances past the exhaustive
+guard.
 Generated near ties (repeated densities, zero gains, tables within TOL of
 submodular) check that lazy selection keeps the scan's tie-breaks.  Exhaustive
 optima equal the reference scan at every capacity, and validation and the
@@ -58,6 +59,16 @@ def test_corpus_matches_reference_at_every_breakpoint(corpus):
 def test_coverage_n100_matches_reference():
     instance = generate_instance(
         GeneratorSpec("coverage", n=100, size_max=100, seed=0))
+    total = sum(it.size for it in instance.items)
+    _assert_matches_reference(
+        instance, sorted({round(k * total / 20) for k in range(1, 21)}))
+
+
+def test_planted_n100_matches_reference():
+    # past the exhaustive guard with a nonempty start list: steps 1 and 2 run
+    instance = generate_instance(
+        GeneratorSpec("planted", n=100, size_max=100, seed=0))
+    assert start_item_list(instance).entries
     total = sum(it.size for it in instance.items)
     _assert_matches_reference(
         instance, sorted({round(k * total / 20) for k in range(1, 21)}))
@@ -411,9 +422,10 @@ def test_drawn_states_match_value(instance, rng):
 
 
 # ---------------------------------------------------------------------------
-# the policy keeps its step-3 choices per instance and fit-answer history;
-# every capacity, in shuffled order and with erratic answers mixed in, must
-# give the trace of a run that finds no choice kept
+# the policy keeps its decisions per instance and fit-answer history, and
+# builds its queue only at the first history with none kept; every
+# capacity, in shuffled order and with erratic answers mixed in, must give
+# the trace of a run that finds no decision kept
 
 class _ErraticFit(FitOracle):
     """Answers as the capacity does, but every third answer flipped: fit
@@ -446,6 +458,15 @@ def test_corpus_shared_choices_match_cold(corpus):
 def test_coverage_n100_shared_choices_match_cold(seed):
     _assert_shared_choices_match_cold(
         generate_instance(GeneratorSpec("coverage", n=100, seed=seed)), seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planted_n100_shared_choices_match_cold(seed):
+    # each has one indispensable start item, so runs walk kept decisions of
+    # steps 1 and 2 and may first miss inside them
+    instance = generate_instance(GeneratorSpec("planted", n=100, seed=seed))
+    assert start_item_list(instance).entries
+    _assert_shared_choices_match_cold(instance, seed)
 
 
 def test_table_shared_choices_match_cold():

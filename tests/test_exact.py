@@ -349,6 +349,12 @@ def test_curvature_lemma_requires_trials():
         check_curvature_lemma(ex1(), trials=MAX_LEMMA_TRIALS + 1)
 
 
+def test_curvature_lemma_refuses_negative_seed():
+    # random.Random(-7) draws what random.Random(7) does
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -7"):
+        check_curvature_lemma(ex1(), seed=-7)
+
+
 def test_check_report_serialization():
     rep = check_lemma2(ex1(), 2)
     d = rep.to_dict()
