@@ -32,11 +32,11 @@ checkout goes first, and records every run and the median of every metric.
 unless --out is given, and exits 1 if any child failed.
 
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
-compare with this report's rows by kind, n and phase.  BENCH_15.json holds
-both suites.  With the tree before the measured commit in ../old (git
-archive COMMIT^ | tar -x -C ../old) and the commit itself checked out in .,
-these commands measure them again, the first two each next to the rows of
-the other suite:
+compare with this report's rows by kind, n and phase.  BENCH_15.json and
+BENCH_16.json hold both suites.  With the tree before the measured commit
+in ../old (git archive COMMIT^ | tar -x -C ../old) and the commit itself
+checked out in ., these commands measure them again, the first two each
+next to the rows of the other suite:
 
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 6 --out BENCH_11.json        # COMMIT = 8e1678f
@@ -44,6 +44,8 @@ the other suite:
         --perfbench-rounds 10 --perfbench-seed 5 --out BENCH_12.json  # 1645017
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 6 --out BENCH_15.json        # COMMIT^ = b859beb
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 6 --out BENCH_16.json        # COMMIT^ = 7e5543b
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, combinations, compress
 from operator import add, mul, or_
 from typing import Iterable, Mapping
 
@@ -20,16 +20,13 @@ import numpy as np
 
 TOL = 1e-9
 
-#: exhaustive routines (the subset table and everything that reads it, the
-#: breakpoints and the checkers) refuse instances with more items.  At 22
-#: items the table holds 2^22 rows (64 MB of values and sizes); building it,
-#: the optimum at every breakpoint and validation peak below 300 MB
-#: ru_maxrss in one process (213 MB modular, 294 MB coverage, seed 0), and
-#: the sampled curvature lemma at MAX_LEMMA_TRIALS at 250 MB (CPython 3.11,
-#: numpy 2.4, scripts/bench_layers.py).  Each further item doubles that.
+#: exhaustive routines (the subset table and all that reads it, the
+#: breakpoints, the checkers) refuse more items.  At 22 items the table holds
+#: 2^22 rows (64 MB of values and sizes).  Seed 0, CPython 3.11, numpy 2.4:
+#: building it, the optimum at every breakpoint and validation peak at 201 MB
+#: ru_maxrss (modular) and 295 MB (coverage) in scripts/bench_layers.py, the
+#: sampled curvature lemma at MAX_LEMMA_TRIALS at 246 MB.  Each further item doubles that.
 MAX_EXHAUSTIVE_ITEMS = 22
-#: base masks per block of the exhaustive scan, which bounds its arrays
-_SCAN_ROWS = 1024
 
 #: the digits of bin() as the bytes 0 and 1, which compress() reads as flags
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -102,14 +99,26 @@ def _fold(weights: tuple[float, ...], mask: int, start: float = 0.0, low: int = 
     return reduce(add, compress(weights[low:], _bit_flags(mask >> low)), start)
 
 
-def _subset_sums(empty: np.ndarray, terms: Iterable) -> np.ndarray:
-    """The sum of every subset of terms, indexed by bitmask, starting from the
-    one-element array empty.  Each term doubles the array, so every sum adds
-    its members in ascending bit order, the left fold _fold takes."""
-    sums = empty
-    for term in terms:
-        sums = np.concatenate((sums, sums + term))
-    return sums
+def _cube_view(cube: np.ndarray, bits: Mapping[int, int]) -> np.ndarray:
+    """The view of a (2,)*n subset cube, bit i on axis -1-i, of the subsets
+    that hold item i iff bits[i] is 1, for each i in bits (never a scalar)."""
+    index = [slice(None)] * cube.ndim
+    for i, bit in bits.items():
+        index[-1 - i] = bit
+    return cube[(..., *index)]
+
+
+def _cube_fold(n: int, terms: Iterable, dtype) -> np.ndarray:
+    """Every subset's left fold, from zero, of the weights of the terms it
+    meets, in term order, indexed by bitmask.  A term is a weight and the
+    positions of the items that meet it: the weight is added to the view of
+    the subsets that hold one of those positions and no earlier one."""
+    cube = np.zeros((2,) * n, dtype=dtype)
+    for weight, positions in terms:
+        for k, p in enumerate(positions):
+            view = _cube_view(cube, {**dict.fromkeys(positions[:k], 0), p: 1})
+            np.add(view, weight, out=view)
+    return cube.reshape(-1)
 
 
 def check_capacity(gamma) -> int:
@@ -294,8 +303,9 @@ class _FoldedOracle(ValueOracle):
     elements; in modular and concave-modular oracles each item is one.
 
     The elements are ranked in sorted order, once per oracle: each rank's
-    weight, and per item the mask of the ranks it covers.  _value and the
-    packed states of greedy and the policy fold over these.
+    weight, and per item the mask of the ranks it covers.  _value, the packed
+    states of greedy and the policy and, before _finish, _subset_values fold
+    over these.
     """
 
     def __init__(self, weights: Mapping[str, float], covers: Mapping[str, Iterable[str]]):
@@ -314,6 +324,12 @@ class _FoldedOracle(ValueOracle):
 
     def packed_state(self, items: Iterable[str] = ()) -> PackedState:
         return _FoldState(self, items)
+
+    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
+        covers = [self._ranks_of[i] for i in ids]
+        return _cube_fold(len(ids), ((w, [k for k, c in enumerate(covers) if c >> r & 1])
+                                     for r, w in enumerate(self._weight_of_rank)),
+                          np.float64)
 
 
 def _check_weights(weights: Mapping[str, float], what: str = "weight for") -> None:
@@ -336,9 +352,6 @@ class ModularOracle(_FoldedOracle):
         _check_weights(weights)
         super().__init__(weights, {i: (i,) for i in weights})
         self._weights = dict(weights)
-
-    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
-        return _subset_sums(np.zeros(1), map(self._weights.get, ids))
 
     def restrict(self, ids: Iterable[str]) -> "ModularOracle":
         keep = frozenset(ids)
@@ -364,21 +377,6 @@ class CoverageOracle(_FoldedOracle):
         self._addends = max(1, len(element_weights))
         self._element_weights = dict(element_weights)
         self._covers = cov
-
-    def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
-        # the mask of the items covering each element, then one left fold
-        # over the elements in sorted order; a row skips an element it does
-        # not cover, which leaves the bits of a sum that adding 0.0 would
-        covering: dict[str, int] = {}
-        for k, i in enumerate(ids):
-            for e in self._covers[i]:
-                covering[e] = covering.get(e, 0) | 1 << k
-        masks = np.arange(1 << len(ids), dtype=np.int64)
-        values = np.zeros(len(masks))
-        for e in sorted(covering):
-            np.add(values, self._element_weights[e], out=values,
-                   where=(masks & covering[e]) != 0)
-        return values
 
     def restrict(self, ids: Iterable[str]) -> "CoverageOracle":
         keep = frozenset(ids)
@@ -411,7 +409,7 @@ class ConcaveModularOracle(_FoldedOracle):
 
     def _subset_values(self, ids: tuple[str, ...]) -> np.ndarray:
         # Python's float power, which numpy's vectorised one need not match
-        sums = _subset_sums(np.zeros(1), map(self._weights.get, ids))
+        sums = super()._subset_values(ids)
         return np.fromiter((v ** self._exponent for v in sums.tolist()),
                            dtype=np.float64, count=len(sums))
 
@@ -602,22 +600,21 @@ def guard_exhaustive(instance: Instance) -> None:
 
 def subset_table(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The value (float64) and the total size (int64) of every subset as
-    numpy arrays indexed by bitmask (see Instance.subset).  Built once per
-    instance: sizes and modular values by doubling the array once per id,
-    coverage values by one fold over the sorted elements, concave-modular
-    values as Python powers of the modular sums, and any other oracle (a
-    table reads its dict) by one _value call per subset.  Each value is the
-    float _value gives, bit for bit.  Validation, the curvature lemma and the
-    optimum read these arrays.  Sizes whose total exceeds int64 stay Python
-    ints.  It allocates 2^n rows, so it
-    refuses more than MAX_EXHAUSTIVE_ITEMS items."""
+    numpy arrays indexed by bitmask (see Instance.subset), built once per
+    instance: the sizes and the values of folded oracles by one _cube_fold
+    each, those of any other oracle (a table reads its dict) by one _value
+    call per subset.  Each value is the float _value gives, bit for bit.
+    Validation, the curvature lemma and the optimum read these arrays.  Sizes
+    whose total exceeds int64 stay Python ints.  It allocates 2^n rows, so
+    it refuses more than MAX_EXHAUSTIVE_ITEMS items."""
     guard_exhaustive(instance)
 
     def build():
-        total = instance.total_size(instance.ids)
-        empty = np.zeros(1, dtype=np.int64 if total <= np.iinfo(np.int64).max else object)
-        return (instance.oracle._subset_values(instance.ids),
-                _subset_sums(empty, map(instance.size, instance.ids)))
+        ids = instance.ids
+        wide = instance.total_size(ids) > np.iinfo(np.int64).max
+        return (instance.oracle._subset_values(ids),
+                _cube_fold(len(ids), ((instance.size(i), (k,)) for k, i in enumerate(ids)),
+                           object if wide else np.int64))
     return instance.cached("subset_table", build)
 
 
@@ -678,35 +675,37 @@ def _table_violations(n: int, values: np.ndarray) -> tuple[list, list]:
     """The first (A, u) with f(A) > f(A + u) and the first (A, u1, u2) with
     f(A + u1) + f(A + u2) < f(A + u1 + u2) + f(A), beyond tolerance, each
     as a list of at most one case: the lowest A, then the first item or the
-    first pair in combinations order.  Each check covers a block of base
-    masks (rows) and every item or pair (columns) at once; where A holds an
-    item of the case, both sides are the same float sums, which value_gt
-    never separates."""
-    def first(check, *cases):
-        for start in range(0, values.size, _SCAN_ROWS):
-            a = np.arange(start, min(start + _SCAN_ROWS, values.size))[:, None]
-            hits = check(a, *cases)
-            if hits.any():
-                row, k = divmod(int(hits.argmax()), hits.shape[1])
-                return [(start + row, *(int(case[k]) for case in cases))]
-        return []
+    first pair in combinations order.  Each item or pair is checked over the
+    cube views (_cube_view) of the A that hold none of its items, which keep
+    the other bits in order: its first hit, with the items' zero bits put
+    back into its flat index, is its lowest A."""
+    cube = values.reshape((2,) * n)
 
-    bits = 1 << np.arange(n)
-    i, j = np.triu_indices(n, 1)  # the pairs in combinations order
+    def first(sides, cases):
+        found = []
+        for case in cases:
+            lhs, rhs = sides(lambda *bits: _cube_view(cube, dict(zip(case, bits))))
+            # value_gt_array, with its tolerance only where some lhs > rhs
+            if (lhs > rhs).any() and (hits := value_gt_array(lhs, rhs)).any():
+                a = int(hits.argmax())
+                for i in case:  # ascending
+                    a = (a >> i << (i + 1)) | (a & ((1 << i) - 1))
+                found.append((a, *(1 << i for i in case)))
+        return [min(found)] if found else []
+
     with np.errstate(all="ignore"):
-        mono = first(lambda a, u: value_gt_array(values[a], values[a | u]), bits)
-        sub = first(lambda a, u1, u2: value_gt_array(values[a | u1 | u2] + values[a],
-                                                     values[a | u1] + values[a | u2]),
-                    bits[i], bits[j])
+        mono = first(lambda f: (f(0), f(1)), [(i,) for i in range(n)])
+        sub = first(lambda f: (f(1, 1) + f(0, 0), f(1, 0) + f(0, 1)),
+                    combinations(range(n), 2))
     return mono, sub
 
 
 def validate_oracle(instance: Instance) -> ValidationReport:
     """Check normalization, monotonicity, and submodularity.
 
-    Exhaustive over the subset table: every subset, every item and every
-    item pair, computed once per instance.  Like the table, it refuses more
-    than MAX_EXHAUSTIVE_ITEMS items with GuardError.
+    Exhaustive over the subset table, once per instance: every item and
+    every item pair, on every base set that holds none of them.  Like the
+    table, it refuses more than MAX_EXHAUSTIVE_ITEMS items with GuardError.
     """
     return instance.cached("validation", lambda: _scan_oracle(instance))
 

@@ -162,12 +162,14 @@ def _head_change(instance: Instance, run: GreedyRun,
 
 
 def start_item_list(instance: Instance) -> StartList:
-    """Seed items for the policy, ordered by strictly increasing size.
+    """Seed items for the policy, ordered by size, then id.
 
     Every item is tested at the capacity equal to its own size: indispensable
     items always join the list; an item that leads its own greedy order joins
     only once the list is nonempty, so the smallest indispensable item is
-    always the first entry.
+    always the first entry.  Entries of equal size can occur: an item that
+    leads its own order on a density tie within tolerance, and one of the
+    same size whose marginal beats its value, are both on the list.
     """
     entries: list[StartEntry] = []
     for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
@@ -175,9 +177,6 @@ def start_item_list(instance: Instance) -> StartList:
             entries.append(StartEntry(it.id, REASON_INDISPENSABLE))
         elif entries and greedy_sequence(instance, it.size).order[0] == it.id:
             entries.append(StartEntry(it.id, REASON_FIRST_GREEDY))
-    sizes = [instance.size(e.item_id) for e in entries]
-    if any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise RuntimeError("start list sizes must be strictly increasing")
     return StartList(tuple(entries))
 
 

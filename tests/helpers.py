@@ -65,6 +65,15 @@ def zero_item_supermodular() -> Instance:
                     TableOracle({"": 0.0, "a": 0.0, "b": 1.0, "a,b": 2.0}))
 
 
+def density_tie_start_list() -> Instance:
+    """Modular instance whose start list holds two entries of one size: b
+    and c tie in density within 1e-9, so b leads its own order and joins as
+    first_greedy, while c's marginal beats b's value by 8e-4, more than the
+    tolerance at 5e5, so c joins as indispensable."""
+    return Instance((Item("p", 1), Item("q", 2), Item("b", 10 ** 6), Item("c", 10 ** 6)),
+                    ModularOracle({"p": 0.4, "q": 0.6, "b": 500000.0, "c": 500000.0008}))
+
+
 def sneaky_bad_table() -> TableOracle:
     """Non-submodular table whose curvature formula still lands in [0, 1].
 

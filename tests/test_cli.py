@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import ex1, ex3, superadditive_table, zero_item_supermodular
+from helpers import (density_tie_start_list, ex1, ex3, superadditive_table,
+                     zero_item_supermodular)
 from subknap import cli, core, exact
 from subknap.cli import main
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
@@ -402,6 +403,30 @@ def test_verify_refuses_instance_that_normalises_to_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: curvature requires at least one item"]
+
+
+def test_eval_opt_on_instance_that_normalises_to_nothing(tmp_path, capsys):
+    inst = Instance((Item("a", 1), Item("b", 2)),
+                    CoverageOracle({"x": 0.0}, {"a": ["x"], "b": ["x"]}))
+    assert main(["eval", "-i", _saved(inst, tmp_path), "--gamma", "3", "--alg", "opt"]) == 0
+    assert capsys.readouterr().out == "items: (empty)\nvalue: 0.0\ntotal_size: 0\n"
+
+
+def test_start_list_with_equal_sizes_runs_every_command(tmp_path, capsys, monkeypatch):
+    # two start entries of size 10^6; what verify still fails comes from the
+    # absolute tolerance floor, which misjudges values below 1
+    monkeypatch.chdir(tmp_path)
+    path = _saved(density_tie_start_list(), tmp_path)
+    assert main(["sweep", "-i", path, "-o", "out.csv"]) == 0
+    assert main(["eval", "-i", path, "--gamma", "5", "--alg", "policy"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "-i", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split(":")[0] for line in captured.out.splitlines()
+            if line.startswith("FAIL")] == [
+        "FAIL indispensable_properties", "FAIL theorem6 (all breakpoints)",
+        "FAIL lemma2 (all breakpoints)"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ex1, ex2, ex3, superadditive_table, zero_item_supermodular
-from subknap.core import (TOL, ConfigurationError, GuardError, Instance, Item,
+from subknap.core import (TOL, ConcaveModularOracle, ConfigurationError,
+                          CoverageOracle, GuardError, Instance, Item,
                           ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, Violation, curvature, evaluate, instance_digest,
                           instance_from_dict, instance_to_dict, load_instance,
                           make_concave_modular_oracle, make_coverage_oracle,
                           make_modular_oracle, make_table_oracle,
                           normalize_instance, save_instance, size_breakpoints,
-                          validate_oracle, value_ge, value_ge_array,
+                          subset_table, validate_oracle, value_ge, value_ge_array,
                           value_gt, value_gt_array, values_close,
                           values_close_array)
 from subknap.generate import GeneratorSpec, generate_instance
@@ -156,6 +157,31 @@ def test_validate_exhaustive_up_to_the_guard():
     assert report.ok and report.mode == "exhaustive"
     with pytest.raises(GuardError):
         validate_oracle(generate_instance(GeneratorSpec("modular", n=23, seed=2)))
+
+
+_TINY = [((), oracle) for oracle in (
+    ModularOracle({}), CoverageOracle({"x": 0.0}, {}),
+    ConcaveModularOracle({}, 0.5), TableOracle({"": 0.0}))] + [
+    ((Item("a", 3),), oracle) for oracle in (
+        ModularOracle({"a": 2.0}), CoverageOracle({"x": 2.0, "y": 0.5}, {"a": ["x"]}),
+        ConcaveModularOracle({"a": 4.0}, 0.5), TableOracle({"": 0.0, "a": 2.0}))]
+
+
+@pytest.mark.parametrize("items, oracle", _TINY,
+                         ids=[f"{o.kind}-n{len(i)}" for i, o in _TINY])
+def test_table_and_validation_at_zero_and_one_item(items, oracle):
+    # the subset cube of no items is 0-d, and of one item holds two 0-d views
+    values, sizes = subset_table(Instance(items, oracle))
+    rows = 1 << len(items)
+    assert (values.tolist(), sizes.tolist()) == ([0.0, 2.0][:rows], [0, 3][:rows])
+    report = validate_oracle(Instance(items, oracle))
+    assert report.ok and report.first_violation is None
+
+
+def test_validation_finds_a_one_item_violation():
+    report = validate_oracle(Instance((Item("a", 1),), TableOracle({"": 0.0, "a": -1.0})))
+    assert (report.monotone, report.submodular) == (False, True)
+    assert report.first_violation == Violation("monotone", (), ("a",), 1.0)
 
 
 class _LoneBonus(ValueOracle):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (left_sum, memo_values, reference_curvature_lemma,
+from helpers import (density_tie_start_list, left_sum, memo_values,
+                     reference_curvature_lemma,
                      reference_greedy, reference_interval, reference_lemma_draws,
                      reference_opt,
                      reference_policy, reference_scan_oracle,
@@ -54,6 +55,12 @@ def _assert_matches_reference(instance, capacities) -> None:
 def test_corpus_matches_reference_at_every_breakpoint(corpus):
     for _, instance in corpus:
         _assert_matches_reference(instance, breakpoints(instance))
+
+
+def test_density_tie_start_list_matches_reference_at_every_breakpoint():
+    # two start entries of one size (test_start_item_list_keeps_equal_sizes)
+    instance = density_tie_start_list()
+    _assert_matches_reference(instance, breakpoints(instance))
 
 
 def test_coverage_n100_matches_reference():
@@ -594,6 +601,43 @@ def test_unchecked_supermodular_oracle_matches_reference():
     report = validate_oracle(instance)
     assert (report.mode, report.monotone, report.submodular) == ("exhaustive", False, False)
     assert check_curvature_lemma(instance, 2000).failures
+    _assert_checks_match_reference(instance)
+
+
+class _HighBaseDefect(ValueOracle):
+    """|S| on h00..h(n-1), but for a defect at the base set H of the `held`
+    highest items, which holds neither h00 nor any other low item: raised
+    by 1.5 on H itself (monotonicity fails at H, first with h00), or
+    lowered by 0.5 on every proper superset of H (monotone, but
+    submodularity fails at H, first with the pair h00, h01, and at no lower
+    base set)."""
+
+    def __init__(self, n: int, held: int, defect: str):
+        ids = [f"h{k:02d}" for k in range(n)]
+        super().__init__(ids)
+        self._high, self._defect = frozenset(ids[n - held:]), defect
+
+    def _value(self, s: frozenset[str]) -> float:
+        if self._defect == "monotone":
+            return len(s) + (1.5 if s == self._high else 0.0)
+        return len(s) - (0.5 if s > self._high else 0.0)
+
+
+_HIGH_BASES = [(n, held, defect) for n, held in ((11, 2), (12, 5), (13, 3), (14, 1))
+               for defect in ("monotone", "submodular")]
+
+
+@pytest.mark.parametrize("n, held, defect", _HIGH_BASES,
+                         ids=[f"{defect}-n{n}-held{held}" for n, held, defect in _HIGH_BASES])
+def test_first_violation_at_a_high_base_set_matches_reference(n, held, defect):
+    # past the first 1024 base sets, with every item's zero bit put back
+    # into the flat index of its first hit
+    oracle = _HighBaseDefect(n, held, defect)
+    instance = Instance(tuple(Item(i, 1 + k % 3) for k, i in enumerate(sorted(oracle.domain))),
+                        oracle)
+    first = validate_oracle(instance).first_violation
+    assert first.kind == defect and first.subset == tuple(sorted(oracle._high))
+    assert first.items == (("h00",) if defect == "monotone" else ("h00", "h01"))
     _assert_checks_match_reference(instance)
 
 

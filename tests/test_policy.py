@@ -2,18 +2,18 @@ import random
 
 import pytest
 
-from helpers import ex1, ex1_extended, ex3, superadditive_table
+from helpers import (density_tie_start_list, ex1, ex1_extended, ex3,
+                     superadditive_table)
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           OracleValidationError, PackedState, TableOracle,
                           ValueOracle, _FoldState, curvature, normalize_instance,
                           size_breakpoints)
 from subknap.exact import breakpoints, check_theorem6
 from subknap.generate import GeneratorSpec, generate_instance
-from subknap import greedy, policy
+from subknap import greedy
 from subknap.greedy import DensityQueue, agreedy, mgreedy
 from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_MAIN_GREEDY,
-                            PHASE_START_ITEM, IndispensabilityResult,
-                            execute_policy, indispensability_interval,
+                            PHASE_START_ITEM, execute_policy, indispensability_interval,
                             is_indispensable, make_fit_oracle, start_item_list)
 
 
@@ -90,14 +90,12 @@ def test_start_list_sizes_strictly_increase_on_corpus_samples():
         assert sizes and sizes == sorted(set(sizes))
 
 
-def test_start_item_list_refuses_equal_sizes(monkeypatch):
-    """The strictly-increasing invariant is a real check, kept under -O."""
-    inst = Instance((Item("a", 2), Item("b", 2)),
-                    ModularOracle({"a": 1.0, "b": 1.0}))
-    monkeypatch.setattr(policy, "is_indispensable",
-                        lambda instance, item: IndispensabilityResult(True, frozenset()))
-    with pytest.raises(RuntimeError, match="strictly increasing"):
-        start_item_list(inst)
+def test_start_item_list_keeps_equal_sizes():
+    # b leads its own order on a density tie and c is indispensable at the
+    # same size: both are kept, in id order
+    entries = start_item_list(density_tie_start_list()).entries
+    assert [(e.item_id, e.reason) for e in entries] == [
+        ("q", "indispensable"), ("b", "first_greedy"), ("c", "indispensable")]
 
 
 # ---------------------------------------------------------------------------
