@@ -32,11 +32,11 @@ checkout goes first, and records every run and the median of every metric.
 unless --out is given, and exits 1 if any child failed.
 
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
-compare with this report's rows by kind, n and phase.  BENCH_15.json and
-BENCH_16.json hold both suites.  With the tree before the measured commit
-in ../old (git archive COMMIT^ | tar -x -C ../old) and the commit itself
-checked out in ., these commands measure them again, the first two each
-next to the rows of the other suite:
+compare with this report's rows by kind, n and phase.  BENCH_15.json,
+BENCH_16.json and BENCH_17.json hold both suites.  With the tree before the
+measured commit in ../old (git archive COMMIT^ | tar -x -C ../old) and the
+commit itself checked out in ., these commands measure them again, the first
+two each next to the rows of the other suite:
 
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 6 --out BENCH_11.json        # COMMIT = 8e1678f
@@ -46,6 +46,8 @@ next to the rows of the other suite:
         --perfbench-rounds 6 --out BENCH_15.json        # COMMIT^ = b859beb
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 6 --out BENCH_16.json        # COMMIT^ = 7e5543b
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 6 --out BENCH_17.json        # COMMIT^ = 278c6a1
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.
@@ -129,10 +131,13 @@ def rows(quick: bool) -> list[dict]:
 
 
 def measure(key: dict) -> dict:
-    """The row of `key`, measured in this process."""
+    """The row of `key`, measured in this process.  No row of rows() sets
+    size_max; a key given to run_child may, as gen's --size-max."""
     from subknap.generate import GeneratorSpec, generate_instance
 
-    instance = generate_instance(GeneratorSpec(key["kind"], n=key["n"], seed=0))
+    instance = generate_instance(GeneratorSpec(
+        key["kind"], n=key["n"], size_max=key.get("size_max", GeneratorSpec.size_max),
+        seed=0))
     if key["suite"] == "exhaustive":
         result = _exhaustive(instance)
     else:

@@ -537,13 +537,13 @@ class Instance:
 
         Instances and their oracles are immutable, so what is derived from
         them is computed once per instance, here and nowhere else: the
-        validation verdict, greedy orders with the value of each prefix, the
-        start list, the policy's decisions per fit-answer history (the next
-        item tried and the packed value if it fits, or () where the run
-        ends; at most one more than the fit queries answered), singletons,
-        the subset table (every subset's value, which validation, the
-        curvature lemma and the optimum read), breakpoints, curvature and the
-        optimum per capacity.
+        validation verdict, the sorted distinct item sizes ("sizes"), greedy
+        orders with the value of each prefix, the start list, the policy's
+        decisions per fit-answer history (the next item tried and the packed
+        value if it fits, or () where the run ends; at most one more than the
+        fit queries answered), singletons, the subset table (every subset's
+        value, which validation, the curvature lemma and the optimum read),
+        breakpoints, curvature and the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()

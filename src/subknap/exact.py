@@ -548,7 +548,10 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
 
         cap = _head_change(instance, greedy_sequence(instance, interval.gamma1))
         if cap is not None:
-            order = greedy_sequence(instance, cap).order
+            # a larger item past order[k] is neither order[0] nor the
+            # override, so searching the head alone gives the same verdict
+            run = greedy_sequence(instance, cap)
+            order = run.order[:run.k + 1]
             larger = next((i for i in order if instance.size(i) > it.size), None)
             rec.check(
                 lambda: f"{it.id}: first larger item at order-change gamma={cap} "

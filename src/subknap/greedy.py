@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,12 +19,18 @@ from .core import (Instance, PackedState, check_capacity, check_oracle, singleto
 
 @dataclass(frozen=True)
 class GreedyRun:
-    """Full greedy ordering of the items that fit an empty knapsack.
+    """Greedy ordering of the items that fit an empty knapsack, as far as
+    any capacity with the same eligible items reads it.
 
     The ordering is computed without a packing restriction: the prefix keeps
     growing past the capacity, so one run serves the packing algorithms, the
-    prefix bounds, and the indispensability machinery.  values[j - 1] is the
-    value of the first j items as the run packed them.
+    prefix bounds, and the indispensability machinery.  It stops at the first
+    item whose prefix size reaches the next item size above the capacity,
+    where the eligible items change; with no larger item it holds every
+    eligible item.  So order[:k] is the fitting prefix and, unless every
+    eligible item fits, order[k] is overflow_item.  values[j - 1] and
+    prefix_sizes[j - 1] are the value and the total size of the first j
+    items as the run packed them, for j up to len(order).
     """
 
     capacity: int
@@ -221,20 +228,27 @@ class DensityQueue:
 
 
 def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
-    """Greedy order of all items with size <= gamma, ties by ascending id.
+    """Greedy order of the items with size <= gamma, ties by ascending id, up
+    to the first item whose prefix size exceeds every capacity that shares
+    gamma's eligible items (see GreedyRun).
 
     k is the longest prefix whose total size still fits gamma; the item at
     position k+1, when present, is the first one to overflow.  The order
     depends on gamma only through the eligible items, so it is computed once
-    per instance and eligible-size threshold (the largest item size <= gamma)
-    and shared by every capacity with that threshold; building an order
+    per instance and eligible-size threshold t (the largest item size <=
+    gamma) and shared by every capacity with that threshold, all below the
+    next larger item size t'.  It stops at the first prefix size >= t', or
+    holds every eligible item where no size is larger; building an order
     (DensityQueue) refuses an invalid table.
     """
     gamma = check_capacity(gamma)
-    threshold = max((it.size for it in instance.items if it.size <= gamma),
-                    default=0)
+    sizes = instance.cached("sizes",
+                            lambda: tuple(sorted({it.size for it in instance.items})))
+    i = bisect.bisect_right(sizes, gamma)
+    threshold = sizes[i - 1] if i else 0
+    stop = sizes[i] if i < len(sizes) else math.inf
     order, values, prefix_sizes = instance.cached(
-        ("greedy", threshold), lambda: _greedy_order(instance, threshold))
+        ("greedy", threshold), lambda: _greedy_order(instance, threshold, stop))
     k = bisect.bisect_right(prefix_sizes, gamma)
     return GreedyRun(
         capacity=gamma,
@@ -246,16 +260,17 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     )
 
 
-def _greedy_order(instance: Instance, threshold: int
+def _greedy_order(instance: Instance, threshold: int, stop: float
                   ) -> tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]:
-    """(order, prefix values, prefix sizes) of the items of size <= threshold."""
+    """(order, prefix values, prefix sizes) of the items of size <= threshold,
+    up to the first prefix size >= stop."""
     queue = DensityQueue(instance,
                          (it.id for it in instance.items if it.size <= threshold))
     order: list[str] = []
     values: list[float] = []
     prefix_sizes: list[int] = []
     total = 0
-    while queue:
+    while queue and total < stop:
         best_id, best_value = queue.select()
         order.append(best_id)
         values.append(best_value)

@@ -151,6 +151,11 @@ def _head_change(instance: Instance, run: GreedyRun,
 
     An order depends on the capacity only through the largest eligible item
     size, so the head can change only at a capacity equal to an item size.
+    Comparing the truncated orders there is exact: an order at a larger size
+    stops only at a prefix size >= the next item size above it, and every
+    head prefix shorter than k+1 fits run.capacity, below that.  So an order
+    shorter than k+1 cannot share the head, and a longer one holds all of
+    its first k+1 items.
     """
     head = run.order[:run.k + 1]
     for size in sorted({it.size for it in instance.items if it.size > run.capacity}):

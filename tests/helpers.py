@@ -14,7 +14,6 @@ from subknap.core import (ConcaveModularOracle, CoverageOracle, Instance, Item,
                           size_breakpoints, sorted_ids, value_gt, values_close)
 from subknap.exact import MAX_CURVATURE_EXHAUSTIVE, CheckReport, _Recorder
 from subknap.generate import GeneratorSpec
-from subknap.greedy import greedy_sequence
 from subknap.policy import is_indispensable
 
 
@@ -294,19 +293,21 @@ def reference_opt(table: tuple, gamma: int) -> tuple:
 
 def reference_interval(instance: Instance, item_id: str) -> tuple[int, int] | None:
     """(gamma1, gamma2) of indispensability_interval, found by walking every
-    subset-sum breakpoint for the first change of the greedy head."""
+    subset-sum breakpoint for the first change of the head of the full
+    reference_greedy order."""
     if not is_indispensable(instance, item_id).indispensable:
         return None
+    value_of = memo_values(instance.oracle)
     gamma1 = instance.size(item_id)
-    run = greedy_sequence(instance, gamma1)
-    head = run.order[:run.k + 1]
-    fits_with_prefix = run.prefix_sizes[run.k]
+    order, _, prefix_sizes, k, _ = reference_greedy(instance, gamma1, value_of)
+    head = order[:k + 1]
+    fits_with_prefix = prefix_sizes[k]
     for cap in size_breakpoints(instance.items):
         if cap <= gamma1:
             continue
         if cap >= fits_with_prefix:
             break
-        if greedy_sequence(instance, cap).order[:run.k + 1] != head:
+        if reference_greedy(instance, cap, value_of)[0][:k + 1] != head:
             return gamma1, cap
     return gamma1, fits_with_prefix
 

@@ -445,3 +445,62 @@ def test_main_calls_in_one_process_parse_independently(ex1_file, tmp_path, capsy
     assert capsys.readouterr().out.endswith("kind=coverage, seed=0)\n")
     assert load_instance(second).n == 3
     assert cli._build_parser() is cli._build_parser()
+
+
+# ---------------------------------------------------------------------------
+# valid instances that verify still fails, because the absolute tolerance
+# floor misjudges densities far from 1: their stdout, failure witnesses
+# included, pinned byte for byte
+
+def _coverage_times_1e9() -> Instance:
+    data = instance_to_dict(generate_instance(GeneratorSpec("coverage", n=6, seed=2)))
+    elements = data["objective"]["elements"]
+    data["objective"]["elements"] = {e: w * 1e-9 for e, w in elements.items()}
+    return instance_from_dict(data)
+
+
+_TOLERANCE_FLOOR_REPROS = {
+    "two_sizes_1e10": (
+        lambda: Instance((Item("a", 10 ** 10), Item("b", 10 ** 10)),
+                         ModularOracle({"a": 1.0, "b": 2.0})),
+        "PASS curvature_lemma (trials=22, worst_slack=0)\n"
+        "FAIL indispensable_properties: (trials=6, worst_slack=-1) b: nonempty prefix "
+        "with s(item) > s(prefix) (10000000000 > 10000000000)\n"
+        "FAIL theorem6 (all breakpoints): (worst_slack=-1)\n"
+        "FAIL lemma2 (all breakpoints): (worst_slack=-1, skipped=1 trivial capacities)\n",
+        "(c=0.0, alpha=0.5)\n"
+        "PASS empirical robustness >= alpha(c) (empirical=1.0)\n"),
+    "coverage_times_1e-9": (
+        _coverage_times_1e9,
+        "PASS curvature_lemma (trials=1650, worst_slack=-6.62e-24)\n"
+        "PASS indispensable_properties (trials=0, worst_slack=n/a)\n"
+        "PASS theorem6 (all breakpoints) (worst_slack=7.45e-09)\n"
+        "FAIL lemma2 (all breakpoints): (worst_slack=-1.87e-09, skipped=6 trivial "
+        "capacities)\n",
+        "(c=1.0, alpha=0.3577992959402769)\n"
+        "PASS empirical robustness >= alpha(c) (empirical=0.9021739130434782)\n"),
+    "density_tie_start_list": (
+        density_tie_start_list,
+        "PASS curvature_lemma (trials=194, worst_slack=-2.33e-11)\n"
+        "FAIL indispensable_properties: (trials=29, worst_slack=-1) c: nonempty prefix "
+        "with s(item) > s(prefix) (1000000 > 1000000)\n"
+        "FAIL theorem6 (all breakpoints): (worst_slack=-0.0008)\n"
+        "FAIL lemma2 (all breakpoints): (worst_slack=-0.0008, skipped=5 trivial "
+        "capacities)\n",
+        "(c=0.0, alpha=0.5)\n"
+        "PASS empirical robustness >= alpha(c) (empirical=0.9999996000004807)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOLERANCE_FLOOR_REPROS))
+def test_verify_stdout_of_tolerance_floor_repros_is_pinned(name, tmp_path, capsys):
+    build, checks, bound = _TOLERANCE_FLOOR_REPROS[name]
+    assert main(["verify", "-i", _saved(build(), tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "PASS validate_oracle (mode=exhaustive)\n" + checks
+        + "PASS optimum dominates all algorithms\n"
+        "PASS mgreedy >= agreedy at every breakpoint\n"
+        "PASS policy >= agreedy at every breakpoint\n"
+        "PASS agreedy >= alpha(c) * optimum at every breakpoint " + bound)

@@ -1,7 +1,7 @@
-"""Differential tests: greedy runs, start lists and policy traces equal those
-of the reference loops in helpers.py, on the whole corpus at every
-breakpoint and on n=100 coverage and planted instances past the exhaustive
-guard.
+"""Differential tests: greedy runs (cut where the library's order stops),
+start lists and policy traces equal those of the reference loops in
+helpers.py, on the whole corpus at every breakpoint and on n=100 coverage
+and planted instances past the exhaustive guard.
 Generated near ties (repeated densities, zero gains, tables within TOL of
 submodular) check that lazy selection keeps the scan's tie-breaks.  Exhaustive
 optima equal the reference scan at every capacity, and validation and the
@@ -9,6 +9,7 @@ curvature lemma, which read subset values by bitmask, equal the frozenset
 scans they replaced."""
 
 import bisect
+import math
 import random
 from functools import reduce
 from operator import or_
@@ -46,8 +47,17 @@ def _assert_matches_reference(instance, capacities) -> None:
     assert [(e.item_id, e.reason) for e in start_item_list(instance)] == start
     for gamma in capacities:
         run = greedy_sequence(instance, gamma)
+        order, marginals, prefix_sizes, k, overflow = reference_greedy(
+            instance, gamma, value_of)
+        # the run stops at the first prefix size that reaches the next item
+        # size above gamma, and holds the whole order where there is none
+        larger = min((it.size for it in instance.items if it.size > gamma),
+                     default=math.inf)
+        cut = next((j + 1 for j, total in enumerate(prefix_sizes) if total >= larger),
+                   len(order))
         assert (run.order, run.marginals, run.prefix_sizes, run.k,
-                run.overflow_item) == reference_greedy(instance, gamma, value_of)
+                run.overflow_item) == (order[:cut], marginals[:cut],
+                                       prefix_sizes[:cut], k, overflow)
         trace = execute_policy(instance, make_fit_oracle(gamma))
         assert trace.to_dict() == reference_policy(instance, gamma, start, value_of)
 

@@ -261,7 +261,7 @@ def test_oracle_calls_stay_under_ceiling(monkeypatch):
 #: best_density_item calls (full fallback scans of DensityQueue.select) in
 #: one greedy order over every item of generated coverage n=500 seed 0: 493
 #: measured, against 1 at n=400 and 0 at n=300, where the gain drift is still
-#: below the tolerance.  Settling ties without a full scan (ROADMAP item 2)
+#: below the tolerance.  Settling ties without a full scan (ROADMAP item 1)
 #: should lower this.
 FALLBACK_SCAN_CEILING = 493
 
@@ -284,9 +284,10 @@ def test_fallback_scans_of_one_n500_order_stay_under_ceiling(monkeypatch):
 
 #: CoverageOracle._value calls for the start list plus policy, agreedy and
 #: mgreedy on the 200-capacity grid of the benchmark's n=100 coverage
-#: instance (seed 0): 363 measured, the rest headroom; 2 683 when greedy and
+#: instance (seed 0): 101 measured, the 100 singletons that normalisation
+#: values and the whole set that gain_drift scales by; 2 683 when greedy and
 #: the policy valued candidates through the memo
-VALUE_CALL_CEILING = 400
+VALUE_CALL_CEILING = 101
 
 
 def test_policy_selects_once_per_history_and_values_stay_under_ceiling(monkeypatch):
@@ -324,6 +325,32 @@ def test_policy_selects_once_per_history_and_values_stay_under_ceiling(monkeypat
             history = history << 1 | a.fitted
     assert selects <= len(histories)
     assert values <= VALUE_CALL_CEILING
+
+
+#: DensityQueue selections of the start list of generated modular n=300 with
+#: sizes up to 10^6 (seed 0), whose 300 items have 300 distinct sizes: 5 240
+#: measured, one per item of each threshold's order; 45 150 when every order
+#: held every eligible item
+START_LIST_SELECT_CEILING = 5_240
+
+
+def test_start_list_selects_only_what_its_truncated_orders_hold(monkeypatch):
+    selects = 0
+    select = DensityQueue.select
+
+    def counting(self):
+        nonlocal selects
+        selects += 1
+        return select(self)
+
+    monkeypatch.setattr(DensityQueue, "select", counting)
+    inst = normalize_instance(generate_instance(
+        GeneratorSpec("modular", n=300, size_max=10 ** 6, seed=0)))
+    start_item_list(inst)
+    built = selects  # reading the cached orders back selects nothing more
+    lengths = sum(len(greedy.greedy_sequence(inst, size).order)
+                  for size in {it.size for it in inst.items})
+    assert selects == built == lengths <= START_LIST_SELECT_CEILING
 
 
 def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_kept(
