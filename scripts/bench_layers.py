@@ -131,13 +131,10 @@ def rows(quick: bool) -> list[dict]:
 
 
 def measure(key: dict) -> dict:
-    """The row of `key`, measured in this process.  No row of rows() sets
-    size_max; a key given to run_child may, as gen's --size-max."""
+    """The row of `key`, measured in this process."""
     from subknap.generate import GeneratorSpec, generate_instance
 
-    instance = generate_instance(GeneratorSpec(
-        key["kind"], n=key["n"], size_max=key.get("size_max", GeneratorSpec.size_max),
-        seed=0))
+    instance = generate_instance(GeneratorSpec(key["kind"], n=key["n"], seed=0))
     if key["suite"] == "exhaustive":
         result = _exhaustive(instance)
     else:

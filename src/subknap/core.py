@@ -590,6 +590,11 @@ def singletons(instance: Instance) -> dict[str, float]:
         i: instance.oracle.evaluate((i,)) for i in instance.ids})
 
 
+def distinct_sizes(instance: Instance) -> tuple[int, ...]:
+    """The distinct item sizes in ascending order; once per instance."""
+    return instance.cached("sizes", lambda: tuple(sorted({it.size for it in instance.items})))
+
+
 def guard_exhaustive(instance: Instance) -> None:
     """Refuse an instance too large for the exhaustive routines."""
     if instance.n > MAX_EXHAUSTIVE_ITEMS:

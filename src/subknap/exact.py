@@ -549,7 +549,9 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
         cap = _head_change(instance, greedy_sequence(instance, interval.gamma1))
         if cap is not None:
             # a larger item past order[k] is neither order[0] nor the
-            # override, so searching the head alone gives the same verdict
+            # override, so searching the head alone gives the same verdict;
+            # where the first larger item lies past the head, the failure
+            # names None instead of it
             run = greedy_sequence(instance, cap)
             order = run.order[:run.k + 1]
             larger = next((i for i in order if instance.size(i) > it.size), None)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (Instance, PackedState, check_capacity, check_oracle, singletons,
-                   value_ge, value_gt)
+from .core import (Instance, PackedState, check_capacity, check_oracle, distinct_sizes,
+                   singletons, value_ge, value_gt)
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,7 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     (DensityQueue) refuses an invalid table.
     """
     gamma = check_capacity(gamma)
-    sizes = instance.cached("sizes",
-                            lambda: tuple(sorted({it.size for it in instance.items})))
+    sizes = distinct_sizes(instance)
     i = bisect.bisect_right(sizes, gamma)
     threshold = sizes[i - 1] if i else 0
     stop = sizes[i] if i < len(sizes) else math.inf

@@ -10,10 +10,11 @@ fit queries.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
-from .core import Instance, Item, check_capacity, sorted_ids
+from .core import Instance, Item, check_capacity, distinct_sizes, sorted_ids
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
                      greedy_sequence)
 
@@ -158,7 +159,8 @@ def _head_change(instance: Instance, run: GreedyRun,
     its first k+1 items.
     """
     head = run.order[:run.k + 1]
-    for size in sorted({it.size for it in instance.items if it.size > run.capacity}):
+    sizes = distinct_sizes(instance)
+    for size in sizes[bisect.bisect_right(sizes, run.capacity):]:
         if below is not None and size >= below:
             break
         if greedy_sequence(instance, size).order[:run.k + 1] != head:

@@ -58,18 +58,6 @@ def test_oblivious_rows_match_library(kind):
         assert row["digest"] == _sha(result)
 
 
-def test_a_row_key_may_set_the_size_range():
-    key = {"suite": "oblivious", "kind": "modular", "n": 30, "phase": "order",
-           "size_max": 10 ** 6}
-    instance = normalize_instance(generate_instance(
-        GeneratorSpec("modular", n=30, size_max=10 ** 6, seed=0)))
-    order = greedy_sequence(instance, max(it.size for it in instance.items)).order
-    row = bench.measure(key)
-    assert row["size_max"] == 10 ** 6 and row["digest"] == _sha(order)
-    del key["size_max"]
-    assert bench.measure(key)["digest"] != row["digest"]
-
-
 def test_rows_have_the_keys_of_the_committed_reports():
     def keys(rows, suite):
         return [{"suite": suite, **{k: r[k] for k in ("kind", "n", "phase") if k in r}}
