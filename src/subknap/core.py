@@ -239,18 +239,19 @@ class ValueOracle:
 
 class PackedState:
     """A set packed one item at a time, and the value it would have with
-    one more item.  This one takes _value of the whole set (a table's dict)."""
+    one more item.  This one keeps the set and takes _value of it plus the
+    item (a table's dict)."""
 
     def __init__(self, oracle: ValueOracle, items: Iterable[str] = ()):
         self._oracle = oracle
-        self.packed: frozenset[str] = frozenset(items)
+        self._packed = frozenset(items)
 
     def value_with(self, item_id: str) -> float:
         """Value of the packed set plus item_id."""
-        return self._oracle._value(self.packed | {item_id})
+        return self._oracle._value(self._packed | {item_id})
 
     def pack(self, item_id: str) -> None:
-        self.packed = self.packed | {item_id}
+        self._packed |= {item_id}
 
 
 class _FoldState(PackedState):
@@ -262,15 +263,16 @@ class _FoldState(PackedState):
     additions of _value in the same order, so the same float.  A candidate
     that covers nothing new leaves the packed value as it is.  The prefix
     folds depend only on the covered mask, so a state built from a set in
-    one fold equals one packed an item at a time.
+    one fold equals one packed an item at a time.  The mask is all it keeps
+    of the packed set.
     """
 
     def __init__(self, oracle: "_FoldedOracle", items: Iterable[str] = ()):
-        super().__init__(oracle, items)
+        self._oracle = oracle
         self._weights, self._covers = oracle._weight_of_rank, oracle._ranks_of
         self._covered = 0
         self._prefix = [0.0] * (len(self._weights) + 1)
-        self._cover(reduce(or_, map(self._covers.__getitem__, self.packed), 0))
+        self._cover(reduce(or_, map(self._covers.__getitem__, items), 0))
 
     def value_with(self, item_id: str) -> float:
         covered = self._covered
@@ -282,7 +284,6 @@ class _FoldState(PackedState):
             _fold(self._weights, covered | new, self._prefix[low], low))
 
     def pack(self, item_id: str) -> None:
-        super().pack(item_id)
         self._cover(self._covers[item_id] & ~self._covered)
 
     def _cover(self, new: int) -> None:

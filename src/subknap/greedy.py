@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (Instance, PackedState, check_capacity, check_oracle, distinct_sizes,
-                   singletons, value_ge, value_gt)
+from .core import (Instance, check_capacity, check_oracle, distinct_sizes, singletons,
+                   value_ge, value_gt)
 
 
 @dataclass(frozen=True)
@@ -72,39 +72,19 @@ def _single_solution(instance: Instance, item_id: str) -> Solution:
                     instance.size(item_id))
 
 
-def best_density_item(instance: Instance, state: PackedState, packed_value: float,
-                      candidates: Iterable[str]) -> tuple[str | None, float]:
-    """Candidate with the largest marginal value per unit size on the packed
-    set of state, whose value is packed_value.
-
-    Candidates are scanned in ascending id order and a later one wins only by
-    a density strictly greater beyond tolerance.  Returns the winner and the
-    value of the packed set plus the winner; (None, 0.0) when there is no
-    candidate.
-    """
-    best_id = None
-    best_density = 0.0
-    best_value = 0.0
-    for iid in sorted(candidates):
-        v = state.value_with(iid)
-        density = (v - packed_value) / instance.size(iid)
-        if best_id is None or value_gt(density, best_density):
-            best_id, best_density, best_value = iid, density, v
-    return best_id, best_value
-
-
 class DensityQueue:
     """Candidates packed one by one into a set, empty unless packed names
-    its items and packed_value its value; select() picks as
-    best_density_item would, but evaluates lazily (Minoux 1978).  The
-    candidates only shrink: by pack, drop and discard_from.
+    its items and packed_value its value; select() picks as scan() does,
+    but evaluates lazily (Minoux 1978).  The candidates only shrink: by
+    pack, drop and discard_from.
 
     Candidates are valued by the oracle's packed_state, built once from the
     packed items and carried through pack: for coverage, modular and
     concave-modular oracles a fold over the covered elements that gives
     _value's floats without building a set; for a table, its dict entry for
     the packed set plus one item.  packed_value is the value of the packed
-    set, that float too.
+    set, that float too.  Of the packed set the queue itself keeps only the
+    count, which stamps evaluations and scales the gain drift.
 
     Every candidate keeps the density it had when last evaluated, on a
     subset of the current packed set; at first its singleton density, on
@@ -120,75 +100,89 @@ class DensityQueue:
     where it provably equals the scan's: (a) the freshly evaluated head beats
     every other bound by more than the tolerance, or (b) no candidate can
     beat the freshly evaluated smallest id, which the scan starts from and
-    then keeps.  Otherwise the scan itself decides.  Densities are computed
-    with the scan's arithmetic, so equal choices give equal floats.
+    then keeps.  Otherwise the scan itself decides.  Both compute densities
+    with _evaluate, so equal choices give equal floats.
     """
 
     def __init__(self, instance: Instance, candidates: Iterable[str],
                  packed: Iterable[str] = (), packed_value: float = 0.0):
         check_oracle(instance)  # the bounds rely on a valid objective
+        packed = tuple(packed)
         self._instance = instance
         self._state = instance.oracle.packed_state(packed)
+        self._packs = len(packed)
         self.packed_value = packed_value
         self._live = sorted(candidates)
-        # per live candidate: the packed value with the candidate, its
-        # density bound and len(packed), when last evaluated; at first its
-        # singleton value and density, which are those on the empty set, so
-        # stamp 0 is fresh only while nothing is packed
+        # per live candidate, when last evaluated: [density bound, packed
+        # value with the candidate, packs made]; at first its singleton
+        # density and value, which are those on the empty set, a subset of
+        # any packed set (so v / size, not less packed_value), and stamp 0
+        # is fresh only while nothing is packed
         values = singletons(instance)
-        self._value = {iid: values[iid] for iid in self._live}
-        self._bound = {iid: v / instance.size(iid) for iid, v in self._value.items()}
-        self._stamp = dict.fromkeys(self._live, 0)
-        self._heap = [(-b, iid) for iid, b in self._bound.items()]
+        self._records = {iid: [values[iid] / instance.size(iid), values[iid], 0]
+                         for iid in self._live}
+        self._heap = [(-r[0], iid) for iid, r in self._records.items()]
         heapq.heapify(self._heap)
 
     def __len__(self) -> int:
         return len(self._live)
 
-    @property
-    def packed(self) -> frozenset[str]:
-        return self._state.packed
-
     def value_with(self, item_id: str) -> float:
         """Value of the packed set plus item_id."""
         return self._state.value_with(item_id)
 
+    def scan(self) -> tuple[str | None, float]:
+        """Candidate with the largest marginal value per unit size on the
+        packed set, and the value of the packed set with it; (None, 0.0)
+        when there is no candidate.
+
+        Every candidate is evaluated, in ascending id order, and a later one
+        wins only by a density strictly greater beyond tolerance.
+        """
+        best_id = None
+        best_density = 0.0
+        best_value = 0.0
+        for iid in self._live:
+            density, v = self._evaluate(iid)
+            if best_id is None or value_gt(density, best_density):
+                best_id, best_density, best_value = iid, density, v
+        return best_id, best_value
+
     def select(self) -> tuple[str, float]:
-        """The candidate best_density_item picks on the packed set, and the
-        value of the packed set with it."""
-        bound = self._bound
-        drift = self._instance.oracle.gain_drift(len(self.packed))
+        """The candidate scan() picks, and the value of the packed set with it."""
+        records = self._records
+        drift = self._instance.oracle.gain_drift(self._packs)
         while True:
             head = self._head()
             if not self._fresh(head):
                 self._refresh(head)
                 continue
-            best = bound[head]
+            best, value, _ = records[head]
             entry = heapq.heappop(self._heap)
             rival = self._head()
             heapq.heappush(self._heap, entry)
-            if rival is None or value_gt(best, bound[rival] + drift):
-                return head, self._value[head]
+            if rival is None or value_gt(best, records[rival][0] + drift):
+                return head, value
             # every other density is at most best + drift
             first = self._live[0]
-            if self._fresh(first) and not value_gt(best + drift, bound[first]):
-                return first, self._value[first]
+            if self._fresh(first) and not value_gt(best + drift, records[first][0]):
+                return first, records[first][1]
             stale = next((i for i in (rival, first) if not self._fresh(i)), None)
             if stale is None:
-                return best_density_item(self._instance, self._state,
-                                         self.packed_value, self._live)
+                return self.scan()
             self._refresh(stale)
 
     def pack(self, item_id: str, value: float) -> None:
         """Add a candidate to the packed set, whose value becomes value."""
         self.drop(item_id)
         self._state.pack(item_id)
+        self._packs += 1
         self.packed_value = value
 
     def drop(self, item_id: str) -> None:
         """Drop one candidate without packing it."""
         del self._live[bisect.bisect_left(self._live, item_id)]
-        self._forget(item_id)
+        del self._records[item_id]
 
     def discard_from(self, size: int) -> None:
         """Drop every candidate of at least this size."""
@@ -197,34 +191,35 @@ class DensityQueue:
             if self._instance.size(iid) < size:
                 keep.append(iid)
             else:
-                self._forget(iid)
+                del self._records[iid]
         self._live = keep
 
-    def _forget(self, item_id: str) -> None:
-        del self._bound[item_id], self._stamp[item_id], self._value[item_id]
+    def _evaluate(self, item_id: str) -> tuple[float, float]:
+        """Density of item_id on the packed set, and the set's value with it."""
+        v = self._state.value_with(item_id)
+        return (v - self.packed_value) / self._instance.size(item_id), v
 
     def _fresh(self, item_id: str) -> bool:
-        return self._stamp[item_id] == len(self.packed)
+        return self._records[item_id][2] == self._packs
 
     def _head(self) -> str | None:
         """Live candidate with the largest bound, ties by ascending id;
         entries of packed, dropped or re-evaluated candidates are skipped."""
-        heap, bound = self._heap, self._bound
+        heap, records = self._heap, self._records
         while heap:
             key, iid = heap[0]
-            if bound.get(iid) == -key:
+            record = records.get(iid)
+            if record is not None and record[0] == -key:
                 return iid
             heapq.heappop(heap)
         return None
 
     def _refresh(self, item_id: str) -> None:
-        v = self._state.value_with(item_id)
-        density = (v - self.packed_value) / self._instance.size(item_id)
-        self._stamp[item_id] = len(self.packed)
-        self._value[item_id] = v
-        if density != self._bound[item_id]:
-            self._bound[item_id] = density
+        record = self._records[item_id]
+        density, v = self._evaluate(item_id)
+        if density != record[0]:
             heapq.heappush(self._heap, (-density, item_id))
+        record[:] = density, v, self._packs
 
 
 def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:

@@ -176,23 +176,26 @@ def start_item_list(instance: Instance) -> StartList:
     only once the list is nonempty, so the smallest indispensable item is
     always the first entry.  Entries of equal size can occur: an item that
     leads its own order on a density tie within tolerance, and one of the
-    same size whose marginal beats its value, are both on the list.
+    same size whose marginal beats its value, are both on the list.  The
+    list is built once per instance ("start_list").
     """
-    entries: list[StartEntry] = []
-    for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
-        if is_indispensable(instance, it).indispensable:
-            entries.append(StartEntry(it.id, REASON_INDISPENSABLE))
-        elif entries and greedy_sequence(instance, it.size).order[0] == it.id:
-            entries.append(StartEntry(it.id, REASON_FIRST_GREEDY))
-    return StartList(tuple(entries))
+    def build() -> StartList:
+        entries: list[StartEntry] = []
+        for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
+            if is_indispensable(instance, it).indispensable:
+                entries.append(StartEntry(it.id, REASON_INDISPENSABLE))
+            elif entries and greedy_sequence(instance, it.size).order[0] == it.id:
+                entries.append(StartEntry(it.id, REASON_FIRST_GREEDY))
+        return StartList(tuple(entries))
+    return instance.cached("start_list", build)
 
 
 def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     """Run the oblivious policy against a fit-query interface.
 
-    The start list is always the instance's own (start_item_list, cached per
-    instance), and one candidate pool serves all three steps; it only
-    shrinks, and packed items never return to it.  Step 1 tries start items
+    The start list is always the instance's own (start_item_list), and one
+    candidate pool serves all three steps; it only shrinks, and packed
+    items never return to it.  Step 1 tries start items
     from largest to smallest; a failed attempt discards every pool item at
     least that large.  Step 2 replays the packed start item's greedy prefix,
     dropping prefix items from the pool whether or not they fit.  Step 3
@@ -217,7 +220,7 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     the choices and floats are the same.  Concurrent callers may share the
     cache, since every writer of an entry stores the same decision.
     """
-    start_list = instance.cached("start_list", lambda: start_item_list(instance))
+    start_list = start_item_list(instance)
     decisions = instance.cached("policy_choices", dict)
     packed: set[str] = set()
     packed_value = 0.0

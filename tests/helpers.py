@@ -338,11 +338,8 @@ def _reference_subsets(ids: list[str]):
         yield frozenset(ids[i] for i in range(n) if mask >> i & 1)
 
 
-def reference_scan_oracle(oracle: ValueOracle, ids: list[str],
-                          exhaustive: bool = True) -> ValidationReport:
-    """The validation scan over every subset, item and item pair; the
-    library has no other, so `exhaustive` must be True."""
-    assert exhaustive
+def reference_scan_oracle(oracle: ValueOracle, ids: list[str]) -> ValidationReport:
+    """The validation scan over every subset, item and item pair."""
     value_of = memo_values(oracle)
     found: list[Violation] = []
     empty = value_of(())

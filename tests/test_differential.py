@@ -408,16 +408,18 @@ def test_drawn_tables_match_reference(instance):
 def _assert_state_matches_value(instance, rng: random.Random) -> None:
     oracle = instance.oracle
     state = oracle.packed_state()
+    packed: frozenset[str] = frozenset()
     order = list(instance.ids)
     rng.shuffle(order)
     for item in order + [None]:
         for i in instance.ids:
-            s = state.packed | {i}
+            s = packed | {i}
             want = oracle._value(s).hex()
             assert state.value_with(i).hex() == want == reference_value(oracle, s).hex(), \
-                (sorted(state.packed), i)
+                (sorted(packed), i)
         if item is not None:
             state.pack(item)
+            packed |= {item}
 
 
 def test_corpus_states_match_value(corpus):
@@ -706,7 +708,7 @@ def _lemma_outcome(check, instance, trials: int, seed: int = 0):
 @given(_random_table())
 def test_random_tables_match_reference(instance):
     assert validate_oracle(instance) == reference_scan_oracle(
-        instance.oracle, list(instance.ids), exhaustive=True)
+        instance.oracle, list(instance.ids))
     assert _lemma_outcome(check_curvature_lemma, instance, 100) \
         == _lemma_outcome(reference_curvature_lemma, instance, 100)
 
