@@ -33,10 +33,10 @@ unless --out is given, and exits 1 if any child failed.
 
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
 compare with this report's rows by kind, n and phase.  BENCH_15.json,
-BENCH_16.json and BENCH_17.json hold both suites.  With the tree before the
-measured commit in ../old (git archive COMMIT^ | tar -x -C ../old) and the
-commit itself checked out in ., these commands measure them again, the first
-two each next to the rows of the other suite:
+BENCH_16.json, BENCH_17.json and BENCH_20.json hold both suites.  With the
+tree before the measured commit in ../old (git archive COMMIT^ | tar -x -C
+../old) and the commit itself checked out in ., these commands measure them
+again, the first two each next to the rows of the other suite:
 
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 6 --out BENCH_11.json        # COMMIT = 8e1678f
@@ -48,6 +48,8 @@ two each next to the rows of the other suite:
         --perfbench-rounds 6 --out BENCH_16.json        # COMMIT^ = 7e5543b
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 6 --out BENCH_17.json        # COMMIT^ = 278c6a1
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 6 --out BENCH_20.json        # COMMIT^ = ed1d844
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.

@@ -254,6 +254,31 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     )
 
 
+def first_items(instance: Instance) -> dict[int, tuple[str, float]]:
+    """For each distinct item size t, the first item of the greedy order at
+    threshold t and its value alone: greedy_sequence(instance, t).order[0]
+    and .values[0].  Once per instance ("first_items").
+
+    One DensityQueue over every item, which never packs, so every record
+    stays fresh and no candidate is re-evaluated.  Walking the sizes from
+    the largest down, each size drops the items of the size above it, one by
+    one, and selects: what scan picks over the items of size <= t, as the
+    first select of the order at t does.  Building it refuses an invalid table.
+    """
+    def build() -> dict[int, tuple[str, float]]:
+        by_size: dict[int, list[str]] = {}
+        for it in instance.items:
+            by_size.setdefault(it.size, []).append(it.id)
+        queue = DensityQueue(instance, instance.ids)
+        firsts = {}
+        for t in reversed(distinct_sizes(instance)):
+            firsts[t] = queue.select()
+            for iid in by_size[t]:
+                queue.drop(iid)
+        return firsts
+    return instance.cached("first_items", build)
+
+
 def _greedy_order(instance: Instance, threshold: int, stop: float
                   ) -> tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]:
     """(order, prefix values, prefix sizes) of the items of size <= threshold,

@@ -14,9 +14,10 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .core import Instance, Item, check_capacity, distinct_sizes, sorted_ids
+from .core import (Instance, Item, check_capacity, distinct_sizes, sorted_ids,
+                   value_gt)
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
-                     greedy_sequence)
+                     first_items, greedy_sequence)
 
 REASON_INDISPENSABLE = "indispensable"
 REASON_FIRST_GREEDY = "first_greedy"
@@ -113,15 +114,41 @@ def _resolve(instance: Instance, item) -> Item:
 
 
 def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
-    """Decide indispensability by running the greedy order at capacity s(item).
+    """Decide indispensability at capacity s(item).
 
-    True iff the item is the first to overflow that capacity at position two
-    or later and its marginal on the packed prefix strictly exceeds the
-    prefix value.  The returned prefix is the packed set, for
+    True iff the item is the first to overflow that capacity in the greedy
+    order, at position two or later, and its marginal on the packed prefix P
+    strictly exceeds f(P).  The returned prefix is P, for
     `check_indispensable_properties` and callers; `execute_policy` takes its
     ordered prefix from `greedy_sequence` instead.
+
+    Most items are ruled out without building the order, from its first
+    item a and a's value alone v (first_items).  An item that is a itself
+    does not overflow, since a always fits.  Otherwise a is in P.  Let g be
+    the item's gain on {a} and D = gain_drift(n):
+    - the gain on P, as the order computes it, exceeds g by at most
+      gain_drift(|P| - 1) <= D (submodularity, up to rounding);
+    - f(P) >= v - D: for fold oracles because a float sum of nonnegative
+      terms never shrinks as terms join it, and a concave finish rounds by
+      far less than D; for a table because validation accepts a
+      monotonicity slip of at most TOL * max(1, |f|) per added item, half
+      of the violation that gain_drift allows per item.
+    value_gt is monotone in both arguments (for TOL < 1), so the full check
+    can pass only where value_gt(g + D, v - D) does.  Rounding the two sums
+    cannot flip that: the gain on P and f(P) are floats and rounding is
+    monotone, so gain <= g + D gives gain <= fl(g + D), and v - D <= f(P)
+    gives fl(v - D) <= f(P).  Where the filter passes, the order is built
+    and the full check decides.
     """
     it = _resolve(instance, item)
+    first, v = first_items(instance)[it.size]
+    if first == it.id:
+        return IndispensabilityResult(False, frozenset())
+    oracle = instance.oracle
+    drift = oracle.gain_drift(instance.n)
+    g = oracle.packed_state((first,)).value_with(it.id) - v
+    if not value_gt(g + drift, v - drift):
+        return IndispensabilityResult(False, frozenset())
     run = greedy_sequence(instance, it.size)
     if run.k >= 1 and run.overflow_item == it.id and _override_item(run):
         return IndispensabilityResult(True, run.fitting_prefix)
@@ -184,7 +211,7 @@ def start_item_list(instance: Instance) -> StartList:
         for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
             if is_indispensable(instance, it).indispensable:
                 entries.append(StartEntry(it.id, REASON_INDISPENSABLE))
-            elif entries and greedy_sequence(instance, it.size).order[0] == it.id:
+            elif entries and first_items(instance)[it.size][0] == it.id:
                 entries.append(StartEntry(it.id, REASON_FIRST_GREEDY))
         return StartList(tuple(entries))
     return instance.cached("start_list", build)

@@ -35,9 +35,9 @@ from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
-from subknap.greedy import agreedy, greedy_sequence, mgreedy
+from subknap.greedy import agreedy, first_items, greedy_sequence, mgreedy
 from subknap.policy import (FitOracle, execute_policy, indispensability_interval,
-                            make_fit_oracle, start_item_list)
+                            is_indispensable, make_fit_oracle, start_item_list)
 from test_cli import _thirteen_item_table
 
 
@@ -228,6 +228,114 @@ def test_interval_ends_at_head_change_past_a_subset_sum():
         ModularOracle({"a": 3.0, "b": 7.5, "c": 13.2, "e": 0.1}))
     assert reference_interval(instance, "b") == (10, 12)
     _assert_intervals_match_reference(instance)
+
+
+# ---------------------------------------------------------------------------
+# the start list rules an item out from its threshold's first greedy pick
+# (first_items) where that settles it, and builds the order only where it
+# does not; near that filter's margin it must still equal the reference
+
+def _assert_first_items_match_orders(instance) -> None:
+    firsts = first_items(instance)
+    assert sorted(firsts) == sorted({it.size for it in instance.items})
+    for size, first in firsts.items():
+        run = greedy_sequence(instance, size)
+        assert first == (run.order[0], run.values[0]), size
+
+
+def test_corpus_first_items_match_orders(corpus):
+    for _, instance in corpus:
+        _assert_first_items_match_orders(instance)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_n100_first_items_match_orders(kind):
+    _assert_first_items_match_orders(normalize_instance(generate_instance(
+        GeneratorSpec(kind, n=100, size_max=100, seed=0))))
+
+
+@pytest.mark.parametrize("cover_density", [0.05, 0.1, 0.2])
+def test_sparse_coverage_start_lists_match_reference(cover_density):
+    # sparse covers leave many items' gains on the first pick near its
+    # value, so the filter passes for about a fifth of the items
+    for seed in range(3):
+        instance = normalize_instance(generate_instance(GeneratorSpec(
+            "coverage", n=30, size_max=10, seed=seed, cover_density=cover_density)))
+        assert [(e.item_id, e.reason) for e in start_item_list(instance)] \
+            == reference_start_list(instance, memo_values(instance.oracle))
+
+
+@pytest.mark.parametrize("kind", ["modular", "planted"])
+def test_three_size_start_lists_match_reference(kind):
+    for seed in range(10):
+        instance = normalize_instance(generate_instance(
+            GeneratorSpec(kind, n=12, size_max=3, seed=seed)))
+        _assert_matches_reference(instance, breakpoints(instance))
+
+
+@st.composite
+def _gains_near_prefix_values(draw):
+    """Up to six items of sizes 1, 2 and 4, each worth 1, 2 or 4 times a
+    scale, moved by a few or a few hundred TOL times the scale; as a modular
+    oracle, or as a table with every nonempty subset value moved by up to
+    0.45 TOL times the scale, kept only if it passes check_oracle.  Where
+    values follow sizes, densities tie within TOL and an item's gain on the
+    prefix that fills its size lies within a few TOL of the prefix value;
+    where an item is worth the first pick, its gain on that pick lies near
+    the filter's margin, which for a table is a few hundred TOL wide."""
+    n = draw(st.integers(2, 6))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    ids = [f"g{k}" for k in range(n)]
+    sizes = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=n, max_size=n))
+    weights = {i: scale * (draw(st.sampled_from([1, 2, 4])) + draw(
+        st.integers(-5, 5) | st.integers(-300, 300)) * TOL) for i in ids}
+    items = tuple(Item(i, s) for i, s in zip(ids, sizes))
+    if draw(st.booleans()):
+        return Instance(items, ModularOracle(weights))
+    steps = draw(st.lists(st.integers(-45, 45), min_size=2 ** n, max_size=2 ** n))
+    values = {}
+    for mask in range(2 ** n):
+        subset = [i for k, i in enumerate(ids) if mask >> k & 1]
+        shift = steps[mask] * TOL / 100 * scale if subset else 0.0
+        values[",".join(subset)] = left_sum(weights[i] for i in subset) + shift
+    instance = Instance(items, TableOracle(values))
+    try:
+        check_oracle(instance)
+    except OracleValidationError:
+        assume(False)
+    return instance
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_gains_near_prefix_values())
+def test_gains_near_prefix_values_match_reference(instance):
+    _assert_first_items_match_orders(instance)
+    _assert_matches_reference(instance, breakpoints(instance))
+
+
+def test_gain_grown_past_the_first_pick_keeps_its_item_on_the_start_list():
+    # at threshold 10^10, c ties y in density under the absolute tolerance
+    # floor and precedes it, so y overflows the prefix {a, c}; its gain there
+    # beats f({a, c}) beyond tolerance, while its gain on {a} alone does not
+    # beat f({a}).  Only the table's gain drift, which validation allows,
+    # keeps the filter from ruling y out
+    instance = Instance(
+        (Item("a", 1), Item("c", 1), Item("y", 10 ** 10)),
+        TableOracle({"": 0.0, "a": 1.0, "c": 2e-10, "y": 1.0, "a,c": 1 + 2e-10,
+                     "a,y": 2 + 0.5e-9, "c,y": 1 + 2e-10, "a,c,y": 2 + 1.5e-9}))
+    assert [(e.item_id, e.reason) for e in start_item_list(instance)] \
+        == reference_start_list(instance, memo_values(instance.oracle)) \
+        == [("y", "indispensable")]
+
+
+def test_first_items_and_start_lists_refuse_invalid_tables():
+    for oracle in (TableOracle(superadditive_table()), sneaky_bad_table()):
+        items = tuple(Item(i, k + 1) for k, i in enumerate(sorted(oracle.domain)))
+        for call in (first_items, start_item_list,
+                     lambda instance: is_indispensable(instance, "b")):
+            with pytest.raises(OracleValidationError):
+                call(Instance(items, oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from helpers import (density_tie_start_list, ex1, ex1_extended, ex3,
                      superadditive_table)
 from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           OracleValidationError, PackedState, TableOracle,
-                          ValueOracle, _FoldState, curvature, normalize_instance,
-                          size_breakpoints)
+                          ValueOracle, _FoldState, curvature, distinct_sizes,
+                          normalize_instance, size_breakpoints)
 from subknap.exact import breakpoints, check_theorem6
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap import greedy
@@ -327,7 +327,9 @@ def test_policy_selects_once_per_history_and_values_stay_under_ceiling(monkeypat
     total = sum(it.size for it in inst.items)
     caps = sorted({max(1, round(k * total / 200)) for k in range(1, 201)})
     random.Random(0).shuffle(caps)
-    start_item_list(inst)  # every greedy order the grid reads
+    start_item_list(inst)
+    for gamma in caps:  # every greedy order the grid reads
+        greedy.greedy_sequence(inst, gamma)
     selects = 0
     histories = set()  # of step-3 choices: the fit answers before each
     for gamma in caps:
@@ -344,29 +346,66 @@ def test_policy_selects_once_per_history_and_values_stay_under_ceiling(monkeypat
 
 
 #: DensityQueue selections of the start list of generated modular n=300 with
-#: sizes up to 10^6 (seed 0), whose 300 items have 300 distinct sizes: 5 240
-#: measured, one per item of each threshold's order; 45 150 when every order
-#: held every eligible item
-START_LIST_SELECT_CEILING = 5_240
+#: sizes up to 10^6 (seed 0), whose 300 items have 300 distinct sizes: 3 553
+#: measured, one per size for the first items and one per item of the 177
+#: orders built where the first item does not rule an item out; 5 240 when
+#: the start list built the order of every size, 45 150 when every order held
+#: every eligible item
+START_LIST_SELECT_CEILING = 3_553
+
+
+def _count_start_list(monkeypatch, inst) -> tuple[dict, list]:
+    """Selections, refreshes and queues of start_item_list(inst), and the
+    threshold of each greedy order it builds."""
+    counts = dict.fromkeys(("selects", "refreshes", "queues"), 0)
+    built: list[int] = []
+
+    def counting(name, key):
+        method = getattr(DensityQueue, name)
+
+        def counted(self, *args):
+            counts[key] += 1
+            return method(self, *args)
+        monkeypatch.setattr(DensityQueue, name, counted)
+
+    counting("select", "selects")
+    counting("_refresh", "refreshes")
+    counting("__init__", "queues")
+    build_order = greedy._greedy_order
+
+    def recording(instance, threshold, stop):
+        built.append(threshold)
+        return build_order(instance, threshold, stop)
+
+    monkeypatch.setattr(greedy, "_greedy_order", recording)
+    start_item_list(inst)
+    return counts, built
 
 
 def test_start_list_selects_only_what_its_truncated_orders_hold(monkeypatch):
-    selects = 0
-    select = DensityQueue.select
-
-    def counting(self):
-        nonlocal selects
-        selects += 1
-        return select(self)
-
-    monkeypatch.setattr(DensityQueue, "select", counting)
     inst = normalize_instance(generate_instance(
         GeneratorSpec("modular", n=300, size_max=10 ** 6, seed=0)))
-    start_item_list(inst)
-    built = selects  # reading the cached orders back selects nothing more
-    lengths = sum(len(greedy.greedy_sequence(inst, size).order)
-                  for size in {it.size for it in inst.items})
-    assert selects == built == lengths <= START_LIST_SELECT_CEILING
+    counts, built = _count_start_list(monkeypatch, inst)
+    selects = counts["selects"]
+    assert len(built) == len(set(built))
+    # one first pick per size, then the orders built; reading them back
+    # selects nothing more
+    lengths = sum(len(greedy.greedy_sequence(inst, t).order) for t in built)
+    assert counts["selects"] == selects == len(distinct_sizes(inst)) + lengths \
+        <= START_LIST_SELECT_CEILING
+
+
+@pytest.mark.parametrize("n, size_max", [(100, 100), (400, 10 ** 6)])
+def test_coverage_start_lists_build_no_order(monkeypatch, n, size_max):
+    # generated coverage, seed 0: the first item rules out every item, so
+    # the start list is one queue that never packs and never refreshes, one
+    # select per size; with one order per size it made 485 selects (n=100)
+    # and 4 196 selects with 189 417 refreshes (n=400)
+    inst = normalize_instance(generate_instance(
+        GeneratorSpec("coverage", n=n, size_max=size_max, seed=0)))
+    counts, built = _count_start_list(monkeypatch, inst)
+    assert built == []
+    assert counts == {"selects": len(distinct_sizes(inst)), "refreshes": 0, "queues": 1}
 
 
 def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_kept(
