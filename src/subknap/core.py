@@ -25,7 +25,7 @@ TOL = 1e-9
 #: 2^22 rows (64 MB of values and sizes).  Seed 0, CPython 3.11, numpy 2.4:
 #: building it, the optimum at every breakpoint and validation peak at 201 MB
 #: ru_maxrss (modular) and 295 MB (coverage) in scripts/bench_layers.py, the
-#: sampled curvature lemma at MAX_LEMMA_TRIALS at 246 MB.  Each further item doubles that.
+#: sampled curvature lemma at MAX_LEMMA_TRIALS at 101 MB.  Each further item doubles that.
 MAX_EXHAUSTIVE_ITEMS = 22
 
 #: the digits of bin() as the bytes 0 and 1, which compress() reads as flags
@@ -250,6 +250,11 @@ class PackedState:
         """Value of the packed set plus item_id."""
         return self._oracle._value(self._packed | {item_id})
 
+    def adds_nothing(self, item_id: str) -> bool:
+        """Whether item_id's gain is exactly 0.0 on the packed set and on
+        every superset of it; a table's entries promise nothing of the kind."""
+        return False
+
     def pack(self, item_id: str) -> None:
         self._packed |= {item_id}
 
@@ -282,6 +287,11 @@ class _FoldState(PackedState):
         low = (new & -new).bit_length() - 1
         return self._oracle._finish(
             _fold(self._weights, covered | new, self._prefix[low], low))
+
+    def adds_nothing(self, item_id: str) -> bool:
+        # covered ranks only grow, and value_with returns the packed fold
+        # itself while an item covers no new rank
+        return not self._covers[item_id] & ~self._covered
 
     def pack(self, item_id: str) -> None:
         self._cover(self._covers[item_id] & ~self._covered)
@@ -540,12 +550,14 @@ class Instance:
         them is computed once per instance, here and nowhere else: the
         validation verdict, the sorted distinct item sizes ("sizes"), greedy
         orders with the value of each prefix, the first item of each order
-        with its value ("first_items"), the start list, the policy's
-        decisions per fit-answer history (the next item tried and the packed
-        value if it fits, or () where the run ends; at most one more than the
-        fit queries answered), singletons, the subset table (every subset's
-        value, which validation, the curvature lemma and the optimum read),
-        breakpoints, curvature and the optimum per capacity.
+        with its value ("first_items"), the start list, the policy's tree
+        of kept decisions ("policy_tree": per fit-answer history reached,
+        the next item tried, its size, the packed value if it fits, its two
+        attempt records and two child nodes, or the end of the run; at most
+        one more than the fit queries answered), singletons, the subset
+        table (every subset's value, which validation, the curvature lemma
+        and the optimum read), breakpoints, curvature and the optimum per
+        capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()

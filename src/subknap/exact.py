@@ -8,8 +8,8 @@ the scan's tie rule is replayed over the rows within a narrow band below it
 (_scan_opt gives the argument).  The worst case over capacities is evaluated
 exactly by visiting every subset-sum breakpoint, since integer sizes make
 each half-open capacity interval behave like its left endpoint.  The curvature lemma builds the
-bitmasks of all its trials as numpy arrays, reads their values from the same
-table and checks every trial as one array operation.  Validation reads the
+bitmasks of a block of trials as numpy arrays, reads their values from the
+same table and checks the block as one array operation.  Validation reads the
 table too (core.validate_oracle), and everything here refuses more than
 MAX_EXHAUSTIVE_ITEMS items with GuardError.
 """
@@ -36,8 +36,10 @@ from .policy import (_head_change, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle)
 
 MAX_CURVATURE_EXHAUSTIVE = 8
-#: the sampled curvature lemma holds every trial's draws and masks at once
 MAX_LEMMA_TRIALS = 10 ** 5
+#: the sampled curvature lemma holds the draws and masks of this many
+#: trials at once; the CLI's default of 2 000 trials is one block
+LEMMA_BLOCK_TRIALS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +397,14 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
       marginal_lower:      (1-c) f({j}) <= f(A + j) - f(A)
       disjoint_union:      f(A + B) >= f(A) + (1-c) sum of f({i}), i in B
       marginal_sum_upper:  f(B) <= f(A) + sum of marginals of B - A on A
-    The sets of all trials are numpy arrays of bitmasks over instance.ids,
-    valued from core.subset_table and checked as array operations.  It
-    refuses a negative seed (ValueError), and more than MAX_EXHAUSTIVE_ITEMS
-    items (GuardError) or MAX_LEMMA_TRIALS trials (ValueError), which bounds
-    its memory: at 22 items and 10^5 trials a process peaks at about 250 MB
-    ru_maxrss, 131 MB of it the subset table (CPython 3.11, numpy 2.4,
-    modular seed 0).
+    The sets of a block of trials are numpy arrays of bitmasks over
+    instance.ids, valued from core.subset_table and checked as array
+    operations: every exhaustive case in one block, samples in blocks of
+    LEMMA_BLOCK_TRIALS drawn in turn from one seeded Random.  It refuses a
+    negative seed (ValueError), and more than MAX_EXHAUSTIVE_ITEMS items
+    (GuardError) or MAX_LEMMA_TRIALS trials (ValueError).  At 22 items and
+    10^5 trials a process peaks at 101 MB ru_maxrss, against 99 MB once the
+    subset table is built (CPython 3.11, numpy 2.4, modular seed 0).
     """
     guard_exhaustive(instance)
     if not 1 <= trials <= MAX_LEMMA_TRIALS:
@@ -409,37 +412,75 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
     if seed < 0:  # random.Random would take its absolute value
         raise ValueError(f"seed must be nonnegative, got {seed}")
     c = curvature(instance)
-    n, subset = instance.n, instance.subset
-    bit = 1 << np.arange(n, dtype=np.int64)
-
+    n = instance.n
     if n <= MAX_CURVATURE_EXHAUSTIVE:
-        # marginal_lower: every (A, j) with j outside A, ordered by A, then j
-        ml_a = np.repeat(np.arange(1 << n, dtype=np.int64), n)
-        ml_j = np.tile(np.arange(n), 1 << n)
-        outside = (ml_a >> ml_j) & 1 == 0
-        ml_a, ml_j = ml_a[outside], ml_j[outside]
-        # the others: every assignment of the items to A, B or neither;
-        # digit i of the ternary code is 1 where item i is in A, 2 in B
-        digits = np.arange(3 ** n, dtype=np.int64)[:, None] // 3 ** np.arange(n) % 3
-        in_a, in_b = digits == 1, digits == 2
-        # counted order: every marginal_lower check, then disjoint_union and
-        # marginal_sum_upper in turn, code by code
-        family = np.concatenate((np.zeros(len(ml_a), dtype=np.int64),
-                                 np.tile([1, 2], 3 ** n)))
-        trial = np.concatenate((np.arange(len(ml_a)), np.repeat(np.arange(3 ** n), 2)))
+        blocks = [_exhaustive_lemma_sets(n)]
         mode = "exhaustive"
     else:
-        ml_j, draws = _lemma_draws(n, trials, seed)
-        in_ml = np.zeros((trials, n), dtype=bool)
-        others = np.arange(n - 1) + (np.arange(n - 1) >= ml_j[:, None])
-        in_ml[np.arange(trials)[:, None], others] = draws[:, :n - 1] < 0.5
-        ml_a = (in_ml * bit).sum(axis=1)
-        in_a = draws[:, n - 1:] < 1.0 / 3.0
-        in_b = ~in_a & (draws[:, n - 1:] < 2.0 / 3.0)
-        # counted order: trial by trial, the three families in turn
-        family, trial = np.tile([0, 1, 2], trials), np.repeat(np.arange(trials), 3)
+        rng, block = random.Random(seed), LEMMA_BLOCK_TRIALS
+        blocks = (_sampled_lemma_sets(n, *_lemma_draws(rng, n, min(block, trials - done)))
+                  for done in range(0, trials, block))
         mode = "sampled"
+    failures: list[Failure] = []
+    worst = []  # per block
+    sizes = np.zeros(len(_LEMMA_FAMILIES), dtype=np.int64)
+    for sets in blocks:
+        block_failures, block_worst, block_sizes = _check_lemma_sets(instance, c, *sets)
+        failures += block_failures
+        worst.append(block_worst)
+        sizes += block_sizes
+    # the first of the blocks' minima that equals their minimum is the
+    # first slack overall that equals it
+    return CheckReport("curvature_lemma", int(sizes.sum()), tuple(failures),
+                       _running_min(np.array(worst)), notes=(f"mode={mode}",),
+                       counts=dict(zip(_LEMMA_FAMILIES, sizes.tolist())))
 
+
+def _exhaustive_lemma_sets(n: int) -> tuple:
+    """The lemma's sets for every case on n items (see _check_lemma_sets)."""
+    # marginal_lower: every (A, j) with j outside A, ordered by A, then j
+    ml_a = np.repeat(np.arange(1 << n, dtype=np.int64), n)
+    ml_j = np.tile(np.arange(n), 1 << n)
+    outside = (ml_a >> ml_j) & 1 == 0
+    ml_a, ml_j = ml_a[outside], ml_j[outside]
+    # the others: every assignment of the items to A, B or neither;
+    # digit i of the ternary code is 1 where item i is in A, 2 in B
+    digits = np.arange(3 ** n, dtype=np.int64)[:, None] // 3 ** np.arange(n) % 3
+    in_a, in_b = digits == 1, digits == 2
+    # counted order: every marginal_lower check, then disjoint_union and
+    # marginal_sum_upper in turn, code by code
+    family = np.concatenate((np.zeros(len(ml_a), dtype=np.int64),
+                             np.tile([1, 2], 3 ** n)))
+    trial = np.concatenate((np.arange(len(ml_a)), np.repeat(np.arange(3 ** n), 2)))
+    return ml_a, ml_j, in_a, in_b, family, trial
+
+
+def _sampled_lemma_sets(n: int, ml_j: np.ndarray, draws: np.ndarray) -> tuple:
+    """The lemma's sets for sampled trials, one per row of draws (see
+    _lemma_draws and _check_lemma_sets)."""
+    trials = len(ml_j)
+    bit = 1 << np.arange(n, dtype=np.int64)
+    in_ml = np.zeros((trials, n), dtype=bool)
+    others = np.arange(n - 1) + (np.arange(n - 1) >= ml_j[:, None])
+    in_ml[np.arange(trials)[:, None], others] = draws[:, :n - 1] < 0.5
+    ml_a = (in_ml * bit).sum(axis=1)
+    in_a = draws[:, n - 1:] < 1.0 / 3.0
+    in_b = ~in_a & (draws[:, n - 1:] < 2.0 / 3.0)
+    # counted order: trial by trial, the three families in turn
+    family, trial = np.tile([0, 1, 2], trials), np.repeat(np.arange(trials), 3)
+    return ml_a, ml_j, in_a, in_b, family, trial
+
+
+def _check_lemma_sets(instance: Instance, c: float, ml_a: np.ndarray, ml_j: np.ndarray,
+                      in_a: np.ndarray, in_b: np.ndarray, family: np.ndarray,
+                      trial: np.ndarray) -> tuple[list[Failure], float, list[int]]:
+    """The failures in counted order, the running minimum of the slacks and
+    the case count per family of one block of the lemma's cases: the
+    marginal_lower cases (A, j) as ml_a and ml_j, the other two families'
+    as the items in A and in B, one row per case, and the counted order as
+    the family and the case of each check."""
+    subset = instance.subset
+    bit = 1 << np.arange(instance.n, dtype=np.int64)
     a, b = (in_a * bit).sum(axis=1), (in_b * bit).sum(axis=1)
     # A + i for each i in B, and A itself where i is not in B
     a_plus = np.where(in_b, a[:, None] | bit, a[:, None])
@@ -463,18 +504,17 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
         return (f"{_LEMMA_FAMILIES[family]} A={list(subset(int(a[t])))} "
                 f"B={list(subset(int(b_set)))}")
 
-    failures = tuple(Failure(witness(family[k], trial[k]), slack[k].item())
-                     for k in np.flatnonzero(~value_ge_array(lhs, rhs)).tolist())
-    return CheckReport("curvature_lemma", len(slack), failures, _running_min(slack),
-                       notes=(f"mode={mode}",), counts=dict(zip(_LEMMA_FAMILIES, sizes)))
+    failures = [Failure(witness(family[k], trial[k]), slack[k].item())
+                for k in np.flatnonzero(~value_ge_array(lhs, rhs)).tolist()]
+    return failures, _running_min(slack), sizes
 
 
-def _lemma_draws(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded draws of the sampled curvature lemma, one row per trial,
-    in the order that fixes a seed's samples: j, then one coin per other
-    position, then one three-way draw per position (2n - 1 random() calls).
-    The draws stream into one preallocated array, never a list of floats."""
-    rng = random.Random(seed)
+def _lemma_draws(rng: random.Random, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next `trials` rows of the sampled curvature lemma's draws from
+    rng, in the order that fixes a seed's samples: j, then one coin per
+    other position, then one three-way draw per position (2n - 1 random()
+    calls).  The draws stream into one preallocated array, never a list of
+    floats."""
     choice, draw, positions, per_trial = rng.choice, rng.random, range(n), range(2 * n - 1)
     ml_j = []
 

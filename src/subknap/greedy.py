@@ -96,12 +96,20 @@ class DensityQueue:
     its queue that way, at its first fit-answer history with no kept
     decision, and before any selection.
 
+    A candidate that adds nothing to the packed set, nor to any set packed
+    later (PackedState.adds_nothing), has density 0.0 for good: it leaves
+    the records and the heap once the queue is built or a refresh meets it,
+    and stays live, as if its record were fresh at 0.0 for good.
+
     The scan's tie rule is not transitive, so a lazy winner is accepted only
     where it provably equals the scan's: (a) the freshly evaluated head beats
-    every other bound by more than the tolerance, or (b) no candidate can
-    beat the freshly evaluated smallest id, which the scan starts from and
-    then keeps.  Otherwise the scan itself decides.  Both compute densities
-    with _evaluate, so equal choices give equal floats.
+    every other bound, and 0.0 if some candidate adds nothing, by more than
+    the tolerance, or (b) no candidate can beat the freshly evaluated
+    smallest id, which the scan starts from and then keeps.  Where every
+    candidate adds nothing, the scan keeps the smallest id.  Otherwise the
+    scan itself decides.  Both compute densities with _evaluate, and a
+    candidate that adds nothing is valued by value_with, as the scan values
+    it, so equal choices give equal floats.
     """
 
     def __init__(self, instance: Instance, candidates: Iterable[str],
@@ -113,14 +121,17 @@ class DensityQueue:
         self._packs = len(packed)
         self.packed_value = packed_value
         self._live = sorted(candidates)
-        # per live candidate, when last evaluated: [density bound, packed
-        # value with the candidate, packs made]; at first its singleton
-        # density and value, which are those on the empty set, a subset of
-        # any packed set (so v / size, not less packed_value), and stamp 0
-        # is fresh only while nothing is packed
+        # live candidates that add nothing to the packed set nor to any set
+        # packed later: their density is 0.0 for good, so they hold no record
+        self._zeros = set(filter(self._state.adds_nothing, self._live))
+        # per other live candidate, when last evaluated: [density bound,
+        # packed value with the candidate, packs made]; at first its
+        # singleton density and value, which are those on the empty set, a
+        # subset of any packed set (so v / size, not less packed_value), and
+        # stamp 0 is fresh only while nothing is packed
         values = singletons(instance)
         self._records = {iid: [values[iid] / instance.size(iid), values[iid], 0]
-                         for iid in self._live}
+                         for iid in self._live if iid not in self._zeros}
         self._heap = [(-r[0], iid) for iid, r in self._records.items()]
         heapq.heapify(self._heap)
 
@@ -150,10 +161,13 @@ class DensityQueue:
 
     def select(self) -> tuple[str, float]:
         """The candidate scan() picks, and the value of the packed set with it."""
-        records = self._records
+        records, zeros = self._records, self._zeros
         drift = self._instance.oracle.gain_drift(self._packs)
         while True:
             head = self._head()
+            if head is None:  # every density is 0.0: the scan keeps the first
+                first = self._live[0]
+                return first, self._state.value_with(first)
             if not self._fresh(head):
                 self._refresh(head)
                 continue
@@ -161,13 +175,22 @@ class DensityQueue:
             entry = heapq.heappop(self._heap)
             rival = self._head()
             heapq.heappush(self._heap, entry)
-            if rival is None or value_gt(best, records[rival][0] + drift):
+            # no other density exceeds rival's bound plus drift, and those
+            # of zeros are 0.0
+            ceiling = max(-math.inf if rival is None else records[rival][0] + drift,
+                          0.0 if zeros else -math.inf)
+            if ceiling == -math.inf or value_gt(best, ceiling):
                 return head, value
-            # every other density is at most best + drift
+            # no density at all exceeds top
+            top = max(best + drift, ceiling)
             first = self._live[0]
-            if self._fresh(first) and not value_gt(best + drift, records[first][0]):
+            if first in zeros:
+                if not value_gt(top, 0.0):
+                    return first, self._state.value_with(first)
+            elif self._fresh(first) and not value_gt(top, records[first][0]):
                 return first, records[first][1]
-            stale = next((i for i in (rival, first) if not self._fresh(i)), None)
+            stale = next((i for i in (rival, first)
+                          if i is not None and not self._fresh(i)), None)
             if stale is None:
                 return self.scan()
             self._refresh(stale)
@@ -182,7 +205,7 @@ class DensityQueue:
     def drop(self, item_id: str) -> None:
         """Drop one candidate without packing it."""
         del self._live[bisect.bisect_left(self._live, item_id)]
-        del self._records[item_id]
+        self._forget(item_id)
 
     def discard_from(self, size: int) -> None:
         """Drop every candidate of at least this size."""
@@ -191,8 +214,12 @@ class DensityQueue:
             if self._instance.size(iid) < size:
                 keep.append(iid)
             else:
-                del self._records[iid]
+                self._forget(iid)
         self._live = keep
+
+    def _forget(self, item_id: str) -> None:
+        if self._records.pop(item_id, None) is None:
+            self._zeros.remove(item_id)
 
     def _evaluate(self, item_id: str) -> tuple[float, float]:
         """Density of item_id on the packed set, and the set's value with it."""
@@ -200,7 +227,7 @@ class DensityQueue:
         return (v - self.packed_value) / self._instance.size(item_id), v
 
     def _fresh(self, item_id: str) -> bool:
-        return self._records[item_id][2] == self._packs
+        return item_id in self._zeros or self._records[item_id][2] == self._packs
 
     def _head(self) -> str | None:
         """Live candidate with the largest bound, ties by ascending id;
@@ -215,6 +242,10 @@ class DensityQueue:
         return None
 
     def _refresh(self, item_id: str) -> None:
+        if self._state.adds_nothing(item_id):
+            del self._records[item_id]
+            self._zeros.add(item_id)
+            return
         record = self._records[item_id]
         density, v = self._evaluate(item_id)
         if density != record[0]:

@@ -11,8 +11,10 @@ fit queries.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (Instance, Item, check_capacity, distinct_sizes, sorted_ids,
                    value_gt)
@@ -79,7 +81,7 @@ def make_fit_oracle(gamma: int) -> FitOracle:
     return FitOracle(gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one pair is kept per decision
 class PolicyAttempt:
     item_id: str
     fitted: bool
@@ -230,94 +232,132 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     discard rule.
 
     The fit answers so far decide what is packed and what is left in the
-    pool, so on one instance the policy is one decision tree over them.  Its
-    decisions are kept per instance ("policy_choices"), keyed by every
-    answer so far as the bits of an int after a leading 1: for each history
-    ever reached, the next item tried and the packed value if it fits, or ()
-    where the pool is empty and the run ends.  That is at most one entry
-    more than the fit queries ever answered on the instance.
+    pool, so on one instance the policy is one decision tree over them,
+    kept per instance ("policy_tree") as far as runs have reached it.  A
+    node is one history of answers; its decision, once made, holds the item
+    tried next with its size, the packed value if it fits, the attempt
+    recorded after a miss and after a fit, and the node each answer leads
+    to; where the pool is empty the decision is that the run ends.  That is
+    at most one decision more than the fit queries ever answered on the
+    instance.
 
-    A run walks the kept decisions keeping only the packed items, their
-    value and size, the smallest size that failed in steps 1 and 3, and the
-    step-2 items that failed.  At its first history with no kept decision it
-    builds a DensityQueue once, on the packed set, over the pool those
-    leave, and decides from there on.  No selection runs on a history
-    before its first unseen one, so every bound of that queue is still the
-    singleton bound, as in a queue that replayed every pack and discard:
-    the choices and floats are the same.  Concurrent callers may share the
-    cache, since every writer of an entry stores the same decision.
+    A run walks the kept decisions: one fit query, one recorded attempt and
+    one step to a child per node.  At its first node with no decision it
+    builds a DensityQueue once, on the packed set, over the pool its
+    attempts leave, and decides from there on (_grow).  No selection runs
+    on a node before its first undecided one, so every bound of that queue
+    is still the singleton bound, as in a queue that replayed every pack and
+    discard: the choices and floats are the same.  Concurrent callers may
+    share the tree: a decision is published in one assignment, and every
+    writer of a node stores an equal one.
     """
-    start_list = start_item_list(instance)
-    decisions = instance.cached("policy_choices", dict)
-    packed: set[str] = set()
-    packed_value = 0.0
-    packed_size = 0
-    failed = math.inf  # every pool item is smaller
-    dropped: set[str] = set()  # step-2 items that did not fit
-    history = 1  # every fit answer so far, one bit each, after a leading 1
+    node = instance.cached("policy_tree", _Node)
     attempts: list[PolicyAttempt] = []
-    queue: DensityQueue | None = None
-
-    def decide(compute) -> tuple:
-        """The decision kept at this history, else compute(queue)'s, kept."""
-        nonlocal queue
-        decision = decisions.get(history)
-        if decision is None:
-            if queue is None:
-                pool = (i for i in instance.ids if i not in packed
-                        and i not in dropped and instance.size(i) < failed)
-                queue = DensityQueue(instance, pool, packed, packed_value)
-            decision = decisions[history] = compute(queue)
-        return decision
-
-    def try_next(item_id: str) -> tuple[str, float]:
-        return decide(lambda queue: (item_id, queue.value_with(item_id)))
-
-    def choose(queue: DensityQueue) -> tuple:
-        return queue.select() if queue else ()
-
-    def attempt(item_id: str, value: float, phase: str) -> bool:
-        nonlocal packed_value, packed_size, failed, history
-        size = instance.size(item_id)
-        ok = oracle.fits(packed_size + size)
-        attempts.append(PolicyAttempt(item_id, ok, phase))
-        history = history << 1 | bool(ok)  # fits may return any truth value
+    packed_size = 0
+    packed_value = 0.0
+    while decision := node.decision:
+        _, size, value, records, children = decision
+        ok = bool(oracle.fits(packed_size + size))  # fits may return any truth value
+        attempts.append(records[ok])
         if ok:
-            packed.add(item_id)
-            packed_value = value
             packed_size += size
-            if queue is not None:
-                queue.pack(item_id, value)
-        elif phase == PHASE_GREEDY_PREFIX:
-            dropped.add(item_id)
-            if queue is not None:
-                queue.drop(item_id)
-        else:
-            failed = size  # a pool item, so below every size that failed
-            if queue is not None:
-                queue.discard_from(size)
-        return ok
-
-    # Step 1: largest start item that fits opens the knapsack
-    prefix_order: tuple[str, ...] = ()
-    for entry in reversed(start_list.entries):
-        if attempt(*try_next(entry.item_id), PHASE_START_ITEM):
-            if entry.reason == REASON_INDISPENSABLE:
-                run = greedy_sequence(instance, instance.size(entry.item_id))
-                prefix_order = run.order[:run.k]
-            break
-
-    # Step 2: replay the start item's greedy prefix in order
-    for iid in prefix_order:
-        attempt(*try_next(iid), PHASE_GREEDY_PREFIX)
-
-    # Step 3: adaptive greedy over whatever is left; the answers so far
-    # decide what is packed and what is left, so they decide the choice
-    while decision := decide(choose):
-        attempt(*decision, PHASE_MAIN_GREEDY)
-
+            packed_value = value
+        node = children[ok]
+    if decision is None:
+        packed_size, packed_value = _grow(instance, oracle, node, attempts,
+                                          packed_size, packed_value)
     return PolicyTrace(
         attempts=tuple(attempts),
-        packed=Solution(frozenset(packed), packed_value, packed_size),
+        packed=Solution(frozenset(a.item_id for a in attempts if a.fitted),
+                        packed_value, packed_size),
         query_count=oracle.query_count,
     )
+
+
+class _Node:
+    """One fit-answer history of the policy on an instance: its decision,
+    None until a run has made it (see execute_policy)."""
+
+    __slots__ = ("decision",)
+
+    def __init__(self) -> None:
+        self.decision: _Decision | tuple | None = None
+
+
+class _Decision(NamedTuple):
+    item_id: str
+    size: int
+    value: float  # of the packed set with the item, if it fits
+    attempts: tuple[PolicyAttempt, PolicyAttempt]  # recorded on a miss, a fit
+    children: tuple[_Node, _Node]  # the history after a miss, after a fit
+
+
+#: the decision where the pool is empty and the run ends
+_END = ()
+
+
+def _decision(instance: Instance, item_id: str, value: float, phase: str) -> _Decision:
+    return _Decision(item_id, instance.size(item_id), value,
+                     (PolicyAttempt(item_id, False, phase), PolicyAttempt(item_id, True, phase)),
+                     (_Node(), _Node()))
+
+
+def _grow(instance: Instance, oracle: FitOracle, node: _Node,
+          attempts: list[PolicyAttempt], packed_size: int,
+          packed_value: float) -> tuple[int, float]:
+    """Run on from node, the first node of this run with no decision, after
+    the attempts walked to it, deciding wherever no decision is kept;
+    returns the packed size and value at the end."""
+    # the pool left: no packed item, no step-2 item that missed, and nothing
+    # as large as an item that missed in step 1 or 3
+    packed = {a.item_id for a in attempts if a.fitted}
+    dropped = {a.item_id for a in attempts
+               if not a.fitted and a.phase == PHASE_GREEDY_PREFIX}
+    failed = min((instance.size(a.item_id) for a in attempts
+                  if not a.fitted and a.phase != PHASE_GREEDY_PREFIX), default=math.inf)
+    script = _script(instance, start_item_list(instance), attempts)
+    queue = DensityQueue(instance, (i for i in instance.ids if i not in packed
+                                    and i not in dropped and instance.size(i) < failed),
+                         packed, packed_value)
+    next(itertools.islice(script, len(attempts), len(attempts)), None)  # those tried
+    while True:
+        step = next(script, None)
+        decision = node.decision
+        if decision is None:
+            if step is not None:
+                item_id, phase = step
+                decision = _decision(instance, item_id, queue.value_with(item_id), phase)
+            elif queue:
+                decision = _decision(instance, *queue.select(), PHASE_MAIN_GREEDY)
+            else:
+                decision = _END
+            node.decision = decision
+        if not decision:
+            return packed_size, packed_value
+        item_id, size, value, records, children = decision
+        ok = bool(oracle.fits(packed_size + size))
+        attempts.append(records[ok])
+        node = children[ok]
+        if ok:
+            packed_size += size
+            packed_value = value
+            queue.pack(item_id, value)
+        elif records[0].phase == PHASE_GREEDY_PREFIX:
+            queue.drop(item_id)
+        else:
+            queue.discard_from(size)  # a pool item, so below every size that failed
+
+
+def _script(instance: Instance, start_list: StartList, attempts: list[PolicyAttempt]):
+    """The items of steps 1 and 2, in the order a run tries them, with their
+    phases: start items from the largest until one fits, then its greedy
+    prefix if it is indispensable.  attempts[j] must hold the answer to the
+    j-th item before the next is asked for."""
+    for j, entry in enumerate(reversed(start_list.entries)):
+        yield entry.item_id, PHASE_START_ITEM
+        if attempts[j].fitted:
+            if entry.reason == REASON_INDISPENSABLE:
+                run = greedy_sequence(instance, instance.size(entry.item_id))
+                for iid in run.order[:run.k]:
+                    yield iid, PHASE_GREEDY_PREFIX
+            return

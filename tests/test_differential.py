@@ -11,6 +11,8 @@ scans they replaced."""
 import bisect
 import math
 import random
+import sys
+import threading
 from functools import reduce
 from operator import or_
 
@@ -35,7 +37,7 @@ from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
-from subknap.greedy import agreedy, first_items, greedy_sequence, mgreedy
+from subknap.greedy import DensityQueue, agreedy, first_items, greedy_sequence, mgreedy
 from subknap.policy import (FitOracle, execute_policy, indispensability_interval,
                             is_indispensable, make_fit_oracle, start_item_list)
 from test_cli import _thirteen_item_table
@@ -149,6 +151,51 @@ def _perturbed_table(draw):
 @given(_modular_duplicate_ratios() | _saturating_coverage() | _perturbed_table())
 def test_near_ties_match_reference_at_every_breakpoint(instance):
     _assert_matches_reference(instance, breakpoints(instance))
+
+
+@st.composite
+def _zero_gain_coverage(draw):
+    """Coverage on 2-12 items over 1-5 elements, some of weight zero, so that
+    packs leave some items adding nothing and others adding a little, and
+    items with empty covers, which normalize_instance would drop."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 5))
+    elements = {f"e{k}": draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for k in range(m)}
+    ids = [f"c{k:02d}" for k in range(n)]
+    covers = {i: draw(st.lists(st.sampled_from(sorted(elements)), max_size=m)) for i in ids}
+    sizes = draw(st.lists(_SIZES, min_size=n, max_size=n))
+    return Instance(tuple(Item(i, s) for i, s in zip(ids, sizes)),
+                    CoverageOracle(elements, covers))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_zero_gain_coverage(), st.data())
+def test_select_matches_scan_through_packs_drops_and_discards(instance, data):
+    # the queue sets aside the candidates that add nothing, at construction
+    # (on a packed set too) and when a refresh meets one; select must still
+    # pick the scan's candidate and float, whether or not the smallest live
+    # id is one of them
+    ids = list(instance.ids)
+    packed = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+    live = [i for i in ids if i not in packed]
+    queue = DensityQueue(instance, live, packed, instance.oracle._value(frozenset(packed)))
+    while live:
+        want = queue.scan()
+        got = queue.select()
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+        move = data.draw(st.sampled_from(["pack", "pack", "drop", "discard_from"]))
+        if move == "pack":
+            queue.pack(*got)
+            live.remove(got[0])
+        elif move == "drop":
+            item = data.draw(st.sampled_from(live))
+            queue.drop(item)
+            live.remove(item)
+        else:
+            size = data.draw(st.sampled_from(sorted({instance.size(i) for i in live})))
+            queue.discard_from(size)
+            live = [i for i in live if instance.size(i) < size]
+        assert len(queue) == len(live)
 
 
 def test_coverage_n100_every_eligible_threshold():
@@ -571,7 +618,7 @@ def _assert_shared_choices_match_cold(instance, seed: int = 0) -> None:
             for fit in (FitOracle, _ErraticFit)]
     random.Random(seed).shuffle(runs)
     for fit, gamma in runs:
-        cold._cache.pop("policy_choices", None)
+        cold._cache.pop("policy_tree", None)
         assert execute_policy(instance, fit(gamma)).to_dict() \
             == execute_policy(cold, fit(gamma)).to_dict(), (fit, gamma)
 
@@ -602,6 +649,45 @@ def test_table_shared_choices_match_cold():
                             "d": 1.0, "e": 0.5 + 0.4 * TOL}, "de")]:
         _assert_shared_choices_match_cold(_bumped_table(weights, pair))
     _assert_shared_choices_match_cold(_tie_chain_table(7))
+
+
+@pytest.mark.parametrize("kind", ["coverage", "planted"])
+def test_threads_sharing_the_policy_tree_match_cold(kind):
+    # four threads grow one instance's tree at once, each over its own
+    # shuffled capacities and fit oracles, switching every microsecond; a
+    # decision is published in one assignment, so every trace must still be
+    # a cold run's
+    instance = normalize_instance(generate_instance(GeneratorSpec(kind, n=100, seed=3)))
+    total = instance.total_size(instance.ids)
+    runs = [(fit, gamma) for gamma in sorted({max(1, total * k // 60) for k in range(1, 61)})
+            for fit in (FitOracle, _ErraticFit)]
+    cold = Instance(instance.items, instance.oracle)
+    want = {}
+    for fit, gamma in runs:
+        cold._cache.pop("policy_tree", None)
+        want[fit, gamma] = execute_policy(cold, fit(gamma)).to_dict()
+    got: dict[int, list] = {}
+
+    def worker(k: int) -> None:
+        mine = runs[:]
+        random.Random(k).shuffle(mine)
+        got[k] = [(run, execute_policy(instance, run[0](run[1])).to_dict()) for run in mine]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == [0, 1, 2, 3]
+    for traces in got.values():
+        for run, trace in traces:
+            assert trace == want[run], run
 
 
 # ---------------------------------------------------------------------------
@@ -852,9 +938,39 @@ def test_sampled_lemma_draws_and_reports_match_reference(n):
     instance = generate_instance(GeneratorSpec("coverage", n=n, seed=n))
     for seed in (0, 1, 7):
         for trials in (1, 13, 200):
-            ml_j, draws = exact._lemma_draws(n, trials, seed)
+            ml_j, draws = exact._lemma_draws(random.Random(seed), n, trials)
             want_j, want_draws = reference_lemma_draws(n, trials, seed)
             assert ml_j.tolist() == want_j.tolist()
             assert draws.tobytes() == want_draws.tobytes()
             assert _lemma_outcome(check_curvature_lemma, instance, trials, seed) \
                 == _lemma_outcome(reference_curvature_lemma, instance, trials, seed)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_sampled_lemma_in_blocks_matches_reference(monkeypatch, block):
+    # samples are checked in blocks drawn in turn from one Random: the
+    # failures, their order, the worst slack (its sign at zero too) and the
+    # counts must be those of the reference's single pass
+    monkeypatch.setattr(exact, "LEMMA_BLOCK_TRIALS", block)
+    cases = [(generate_instance(GeneratorSpec("coverage", n=13, seed=13)), 200)]
+    cases += [(_signed_zero_table(rule), 7) for rule in range(4)]
+    failing = 0
+    for instance, trials in cases:
+        for seed in (0, 1, 2):
+            want = _lemma_outcome(reference_curvature_lemma, instance, trials, seed)
+            assert _lemma_outcome(check_curvature_lemma, instance, trials, seed) == want
+            failing += bool(want[0]["failures"])
+    assert failing
+
+
+def test_default_cli_trials_are_one_lemma_block(monkeypatch):
+    draws = []
+    lemma_draws = exact._lemma_draws
+
+    def recording(rng, n, trials):
+        draws.append(trials)
+        return lemma_draws(rng, n, trials)
+
+    monkeypatch.setattr(exact, "_lemma_draws", recording)
+    check_curvature_lemma(generate_instance(GeneratorSpec("modular", n=9, seed=0)), 2000)
+    assert draws == [2000]
