@@ -261,32 +261,40 @@ class PackedState:
 
 class _FoldState(PackedState):
     """The packed set of a folded oracle as the mask of the element ranks it
-    covers, and prefix[r], the left fold of the covered weights below rank r.
+    covers, and a prefix table: prefix[r], the left fold of the covered
+    weights below rank r.
 
     A candidate is valued as the prefix up to its lowest new rank, with the
     fold continued from there over the covered and the new ranks: the
     additions of _value in the same order, so the same float.  A candidate
-    that covers nothing new leaves the packed value as it is.  The prefix
-    folds depend only on the covered mask, so a state built from a set in
-    one fold equals one packed an item at a time.  The mask is all it keeps
-    of the packed set.
+    that covers nothing new leaves the packed value as it is.  The mask is
+    all it keeps of the packed set.
+
+    pack only adds to the mask.  The table is folded when a value_with
+    needs it: at the first value, and at the first value after packs that
+    covered new ranks, then only from the lowest rank covered since the
+    table was last folded.  The table depends only on the mask, so a state
+    built from a set, packed an item at a time, or folded after every pack
+    gives the same floats.  A fold publishes the mask with its new table in
+    one assignment and never changes a published table, and the mask is
+    never reset, so threads may share a state that no one packs any more
+    (policy._first_state): each reads a table of the current mask.
     """
 
     def __init__(self, oracle: "_FoldedOracle", items: Iterable[str] = ()):
         self._oracle = oracle
         self._weights, self._covers = oracle._weight_of_rank, oracle._ranks_of
-        self._covered = 0
-        self._prefix = [0.0] * (len(self._weights) + 1)
-        self._cover(reduce(or_, map(self._covers.__getitem__, items), 0))
+        self._covered = reduce(or_, map(self._covers.__getitem__, items), 0)
+        self._table: tuple[int, list[float]] | None = None  # (mask, prefix)
 
     def value_with(self, item_id: str) -> float:
         covered = self._covered
         new = self._covers[item_id] & ~covered
         if not new:
-            return self._oracle._finish(self._prefix[-1])
+            return self._oracle._finish(self._prefix()[-1])
         low = (new & -new).bit_length() - 1
         return self._oracle._finish(
-            _fold(self._weights, covered | new, self._prefix[low], low))
+            _fold(self._weights, covered | new, self._prefix()[low], low))
 
     def adds_nothing(self, item_id: str) -> bool:
         # covered ranks only grow, and value_with returns the packed fold
@@ -294,18 +302,30 @@ class _FoldState(PackedState):
         return not self._covers[item_id] & ~self._covered
 
     def pack(self, item_id: str) -> None:
-        self._cover(self._covers[item_id] & ~self._covered)
+        self._covered |= self._covers[item_id]
 
-    def _cover(self, new: int) -> None:
-        """Add the uncovered ranks new to the mask and refold from the lowest."""
-        if new:
-            low = (new & -new).bit_length() - 1
-            self._covered |= new
-            # an uncovered rank adds w * 0, which leaves the bits of the fold
-            # (never -0.0) as skipping it would; the top bit pads the flags
-            flags = _bit_flags((self._covered | 1 << len(self._weights)) >> low)
-            self._prefix[low:] = accumulate(map(mul, self._weights[low:], flags), add,
-                                            initial=self._prefix[low])
+    def _prefix(self) -> list[float]:
+        """The prefix table of the covered mask."""
+        table = self._table
+        if table is None or table[0] != self._covered:
+            self._table = table = self._refold(table)
+        return table[1]
+
+    def _refold(self, table: tuple[int, list[float]] | None) -> tuple[int, list[float]]:
+        """(mask, prefix) of the covered mask, refolded from the lowest rank
+        it covers beyond table's mask, or from rank 0 if there is no table."""
+        covered = self._covered
+        if table is None:
+            low, head, start = 0, [], 0.0
+        else:
+            stale = covered & ~table[0]  # the mask only grows
+            low = (stale & -stale).bit_length() - 1
+            head, start = table[1][:low], table[1][low]
+        # an uncovered rank adds w * 0, which leaves the bits of the fold
+        # (never -0.0) as skipping it would; the top bit pads the flags
+        flags = _bit_flags((covered | 1 << len(self._weights)) >> low)
+        head.extend(accumulate(map(mul, self._weights[low:], flags), add, initial=start))
+        return covered, head
 
 
 class _FoldedOracle(ValueOracle):
@@ -550,14 +570,19 @@ class Instance:
         them is computed once per instance, here and nowhere else: the
         validation verdict, the sorted distinct item sizes ("sizes"), greedy
         orders with the value of each prefix, the first item of each order
-        with its value ("first_items"), the start list, the policy's tree
-        of kept decisions ("policy_tree": per fit-answer history reached,
-        the next item tried, its size, the packed value if it fits, its two
-        attempt records and two child nodes, or the end of the run; at most
-        one more than the fit queries answered), singletons, the subset
-        table (every subset's value, which validation, the curvature lemma
-        and the optimum read), breakpoints, curvature and the optimum per
-        capacity.
+        with its value ("first_items"), the packed state of each distinct
+        first item, which the start list values items on (("first_state",
+        item)), the start list, the policy's tree of kept decisions
+        ("policy_tree": per fit-answer history reached, the pool it leaves
+        as a bitmask over ids and, once made, its decision: the next item
+        tried, its size, the packed value if it fits, its two attempt
+        records and two child nodes, or the end of the run; at most one
+        more than the fit queries answered), each item's bit position and,
+        per item size, the mask of the smaller items ("policy_masks"), the
+        policy's attempt records, one miss and one fit per item, per phase
+        (("policy_attempts", phase)), singletons, the subset table (every
+        subset's value, which validation, the curvature lemma and the
+        optimum read), breakpoints, curvature and the optimum per capacity.
         """
         if key not in self._cache:
             self._cache[key] = build()

@@ -107,9 +107,21 @@ class DensityQueue:
     the tolerance, or (b) no candidate can beat the freshly evaluated
     smallest id, which the scan starts from and then keeps.  Where every
     candidate adds nothing, the scan keeps the smallest id.  Otherwise the
-    scan itself decides.  Both compute densities with _evaluate, and a
-    candidate that adds nothing is valued by value_with, as the scan values
-    it, so equal choices give equal floats.
+    scan itself decides.  Both compute densities with _evaluate, so equal
+    choices give equal floats.
+
+    select values a candidate that adds nothing at packed_value, with no
+    call to the state, and that is the float value_with (and so the scan)
+    gives.  Such a candidate exists only for a fold state, whose adds_nothing
+    says that the item covers no rank outside the packed set's mask; then
+    value_with returns _finish of the fold of the covered weights, which is
+    _value's float of the packed set (_FoldState).  packed_value is that
+    value by this queue's contract: given as the value of the packed set,
+    and after each pack the value that pack was given, which greedy and the
+    policy take from value_with or select.  Where nothing is packed it is
+    0.0 and the candidate covers nothing at all, so value_with gives
+    _finish(0.0): 0.0 for coverage and modular oracles, and 0.0 ** e = 0.0
+    for a concave exponent e in (0, 1].
     """
 
     def __init__(self, instance: Instance, candidates: Iterable[str],
@@ -166,8 +178,7 @@ class DensityQueue:
         while True:
             head = self._head()
             if head is None:  # every density is 0.0: the scan keeps the first
-                first = self._live[0]
-                return first, self._state.value_with(first)
+                return self._live[0], self.packed_value
             if not self._fresh(head):
                 self._refresh(head)
                 continue
@@ -186,7 +197,7 @@ class DensityQueue:
             first = self._live[0]
             if first in zeros:
                 if not value_gt(top, 0.0):
-                    return first, self._state.value_with(first)
+                    return first, self.packed_value
             elif self._fresh(first) and not value_gt(top, records[first][0]):
                 return first, records[first][1]
             stale = next((i for i in (rival, first)
@@ -196,16 +207,20 @@ class DensityQueue:
             self._refresh(stale)
 
     def pack(self, item_id: str, value: float) -> None:
-        """Add a candidate to the packed set, whose value becomes value."""
+        """Add an item to the packed set, whose value becomes value; a
+        candidate stops being one."""
         self.drop(item_id)
         self._state.pack(item_id)
         self._packs += 1
         self.packed_value = value
 
     def drop(self, item_id: str) -> None:
-        """Drop one candidate without packing it."""
-        del self._live[bisect.bisect_left(self._live, item_id)]
-        self._forget(item_id)
+        """Drop one candidate without packing it; an item that is no
+        candidate stays none (a policy run whose fit answers no capacity
+        gives may try an item that already left its pool)."""
+        if item_id in self._records or item_id in self._zeros:
+            del self._live[bisect.bisect_left(self._live, item_id)]
+            self._forget(item_id)
 
     def discard_from(self, size: int) -> None:
         """Drop every candidate of at least this size."""

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (Instance, Item, check_capacity, distinct_sizes, sorted_ids,
-                   value_gt)
+from .core import (Instance, Item, PackedState, check_capacity, distinct_sizes,
+                   sorted_ids, value_gt)
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
                      first_items, greedy_sequence)
 
@@ -81,7 +80,7 @@ def make_fit_oracle(gamma: int) -> FitOracle:
     return FitOracle(gamma)
 
 
-@dataclass(frozen=True, slots=True)  # one pair is kept per decision
+@dataclass(frozen=True, slots=True)  # one pair is kept per item and phase
 class PolicyAttempt:
     item_id: str
     fitted: bool
@@ -146,15 +145,21 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
     first, v = first_items(instance)[it.size]
     if first == it.id:
         return IndispensabilityResult(False, frozenset())
-    oracle = instance.oracle
-    drift = oracle.gain_drift(instance.n)
-    g = oracle.packed_state((first,)).value_with(it.id) - v
+    drift = instance.oracle.gain_drift(instance.n)
+    g = _first_state(instance, first).value_with(it.id) - v
     if not value_gt(g + drift, v - drift):
         return IndispensabilityResult(False, frozenset())
     run = greedy_sequence(instance, it.size)
     if run.k >= 1 and run.overflow_item == it.id and _override_item(run):
         return IndispensabilityResult(True, run.fitting_prefix)
     return IndispensabilityResult(False, frozenset())
+
+
+def _first_state(instance: Instance, first: str) -> PackedState:
+    """The packed state of {first}, one per instance and first pick
+    (("first_state", first)): never packed, so threads may share it."""
+    return instance.cached(("first_state", first),
+                           lambda: instance.oracle.packed_state((first,)))
 
 
 def indispensability_interval(instance: Instance, item) -> IndispensabilityInterval | None:
@@ -234,24 +239,27 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     The fit answers so far decide what is packed and what is left in the
     pool, so on one instance the policy is one decision tree over them,
     kept per instance ("policy_tree") as far as runs have reached it.  A
-    node is one history of answers; its decision, once made, holds the item
-    tried next with its size, the packed value if it fits, the attempt
-    recorded after a miss and after a fit, and the node each answer leads
-    to; where the pool is empty the decision is that the run ends.  That is
-    at most one decision more than the fit queries ever answered on the
-    instance.
+    node is one history of answers and holds its pool as a bitmask over
+    instance.ids.  Its decision, once made, holds the item tried next with
+    its size, the packed value if it fits, the attempts recorded after a
+    miss and after a fit (one pair per item and phase on the instance,
+    shared by every decision), and the node each answer
+    leads to, with its pool; where the pool is empty the decision is that
+    the run ends.  That is at most one decision more than the fit queries
+    ever answered on the instance.
 
     A run walks the kept decisions: one fit query, one recorded attempt and
     one step to a child per node.  At its first node with no decision it
-    builds a DensityQueue once, on the packed set, over the pool its
-    attempts leave, and decides from there on (_grow).  No selection runs
-    on a node before its first undecided one, so every bound of that queue
-    is still the singleton bound, as in a queue that replayed every pack and
-    discard: the choices and floats are the same.  Concurrent callers may
-    share the tree: a decision is published in one assignment, and every
-    writer of a node stores an equal one.
+    resumes from what the node holds: it builds a DensityQueue once, on the
+    packed set (the items of its fitted attempts), over the node's pool,
+    and decides from there on (_grow).  No selection runs on a node before
+    its first undecided one, so every bound of that queue is still the
+    singleton bound, as in a queue that replayed every pack and discard:
+    the choices and floats are the same.  Concurrent callers may share the
+    tree: a decision is published in one assignment, and every writer of a
+    node stores an equal one.
     """
-    node = instance.cached("policy_tree", _Node)
+    node = instance.cached("policy_tree", lambda: _Node((1 << instance.n) - 1))
     attempts: list[PolicyAttempt] = []
     packed_size = 0
     packed_value = 0.0
@@ -275,13 +283,16 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
 
 
 class _Node:
-    """One fit-answer history of the policy on an instance: its decision,
-    None until a run has made it (see execute_policy)."""
+    """One fit-answer history of the policy on an instance: the pool it
+    leaves, as a bitmask over instance.ids (bit i set means ids[i] is in
+    it), and its decision, None until a run has made it (see
+    execute_policy)."""
 
-    __slots__ = ("decision",)
+    __slots__ = ("decision", "pool")
 
-    def __init__(self) -> None:
+    def __init__(self, pool: int) -> None:
         self.decision: _Decision | tuple | None = None
+        self.pool = pool
 
 
 class _Decision(NamedTuple):
@@ -296,10 +307,42 @@ class _Decision(NamedTuple):
 _END = ()
 
 
-def _decision(instance: Instance, item_id: str, value: float, phase: str) -> _Decision:
-    return _Decision(item_id, instance.size(item_id), value,
-                     (PolicyAttempt(item_id, False, phase), PolicyAttempt(item_id, True, phase)),
-                     (_Node(), _Node()))
+def _masks(instance: Instance) -> tuple[dict[str, int], dict[int, int]]:
+    """Each item's bit position in instance.ids, and per item size the
+    mask of the smaller items; once per instance ("policy_masks")."""
+    def build() -> tuple[dict[str, int], dict[int, int]]:
+        position = {iid: i for i, iid in enumerate(instance.ids)}
+        below: dict[int, int] = {}
+        smaller = 0
+        for it in sorted(instance.items, key=lambda it: it.size):
+            below.setdefault(it.size, smaller)
+            smaller |= 1 << position[it.id]
+        return position, below
+    return instance.cached("policy_masks", build)
+
+
+def _attempts(instance: Instance, item_id: str, phase: str) -> tuple[PolicyAttempt, PolicyAttempt]:
+    """The attempts recorded when item_id misses and fits in phase: one pair
+    per instance, phase and item (("policy_attempts", phase))."""
+    pairs = instance.cached(("policy_attempts", phase), dict)
+    pair = pairs.get(item_id)
+    if pair is None:  # threads that build one together keep the first stored
+        pair = pairs.setdefault(item_id, (PolicyAttempt(item_id, False, phase),
+                                          PolicyAttempt(item_id, True, phase)))
+    return pair
+
+
+def _decision(instance: Instance, node: _Node, item_id: str, value: float,
+              phase: str) -> _Decision:
+    """node's decision to try item_id in phase: a fit packs the item and a
+    step-2 miss drops it from the pool, a step-1 or step-3 miss keeps only
+    the smaller items."""
+    position, below = _masks(instance)
+    size = instance.size(item_id)
+    fit = node.pool & ~(1 << position[item_id])
+    miss = fit if phase == PHASE_GREEDY_PREFIX else node.pool & below[size]
+    return _Decision(item_id, size, value, _attempts(instance, item_id, phase),
+                     (_Node(miss), _Node(fit)))
 
 
 def _grow(instance: Instance, oracle: FitOracle, node: _Node,
@@ -308,17 +351,9 @@ def _grow(instance: Instance, oracle: FitOracle, node: _Node,
     """Run on from node, the first node of this run with no decision, after
     the attempts walked to it, deciding wherever no decision is kept;
     returns the packed size and value at the end."""
-    # the pool left: no packed item, no step-2 item that missed, and nothing
-    # as large as an item that missed in step 1 or 3
-    packed = {a.item_id for a in attempts if a.fitted}
-    dropped = {a.item_id for a in attempts
-               if not a.fitted and a.phase == PHASE_GREEDY_PREFIX}
-    failed = min((instance.size(a.item_id) for a in attempts
-                  if not a.fitted and a.phase != PHASE_GREEDY_PREFIX), default=math.inf)
     script = _script(instance, start_item_list(instance), attempts)
-    queue = DensityQueue(instance, (i for i in instance.ids if i not in packed
-                                    and i not in dropped and instance.size(i) < failed),
-                         packed, packed_value)
+    queue = DensityQueue(instance, instance.subset(node.pool),
+                         (a.item_id for a in attempts if a.fitted), packed_value)
     next(itertools.islice(script, len(attempts), len(attempts)), None)  # those tried
     while True:
         step = next(script, None)
@@ -326,9 +361,9 @@ def _grow(instance: Instance, oracle: FitOracle, node: _Node,
         if decision is None:
             if step is not None:
                 item_id, phase = step
-                decision = _decision(instance, item_id, queue.value_with(item_id), phase)
+                decision = _decision(instance, node, item_id, queue.value_with(item_id), phase)
             elif queue:
-                decision = _decision(instance, *queue.select(), PHASE_MAIN_GREEDY)
+                decision = _decision(instance, node, *queue.select(), PHASE_MAIN_GREEDY)
             else:
                 decision = _END
             node.decision = decision

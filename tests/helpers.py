@@ -1,20 +1,21 @@
 """Shared fixtures: hand-checkable instances and the seeded corpus."""
 
 import bisect
+import math
 import random
 from functools import reduce
-from itertools import combinations
-from operator import add
+from itertools import accumulate, combinations
+from operator import add, mul, or_
 
 import numpy as np
 
 from subknap.core import (ConcaveModularOracle, CoverageOracle, Instance, Item,
                           ModularOracle, TableOracle, ValidationReport,
-                          ValueOracle, Violation, curvature,
+                          ValueOracle, Violation, _bit_flags, _fold, curvature,
                           size_breakpoints, sorted_ids, value_gt, values_close)
 from subknap.exact import MAX_CURVATURE_EXHAUSTIVE, CheckReport, _Recorder
 from subknap.generate import GeneratorSpec
-from subknap.policy import is_indispensable
+from subknap.policy import PHASE_GREEDY_PREFIX, PolicyAttempt, is_indispensable
 
 
 def left_sum(terms) -> float:
@@ -232,6 +233,56 @@ def reference_policy(instance: Instance, gamma: int,
         "total_size": instance.total_size(packed),
         "query_count": queries,
     }
+
+
+def reference_pool(instance: Instance, attempts: list[PolicyAttempt]) -> tuple[str, ...]:
+    """Ascending ids of the pool a policy run leaves after its attempts, as
+    execute_policy derived it from them before each node held its pool: no
+    packed item, no step-2 item that missed, and nothing as large as an item
+    that missed in step 1 or 3."""
+    packed = {a.item_id for a in attempts if a.fitted}
+    dropped = {a.item_id for a in attempts
+               if not a.fitted and a.phase == PHASE_GREEDY_PREFIX}
+    failed = min((instance.size(a.item_id) for a in attempts
+                  if not a.fitted and a.phase != PHASE_GREEDY_PREFIX), default=math.inf)
+    return tuple(i for i in instance.ids
+                 if i not in packed and i not in dropped and instance.size(i) < failed)
+
+
+class EagerFoldState:
+    """A folded oracle's packed state as core._FoldState was before it
+    folded its prefix table lazily: every pack that covers a new rank
+    refolds the table from that rank at once."""
+
+    def __init__(self, oracle, items=()):
+        self._oracle = oracle
+        self._weights, self._covers = oracle._weight_of_rank, oracle._ranks_of
+        self._covered = 0
+        self._prefix = [0.0] * (len(self._weights) + 1)
+        self._cover(reduce(or_, map(self._covers.__getitem__, items), 0))
+
+    def value_with(self, item_id: str) -> float:
+        covered = self._covered
+        new = self._covers[item_id] & ~covered
+        if not new:
+            return self._oracle._finish(self._prefix[-1])
+        low = (new & -new).bit_length() - 1
+        return self._oracle._finish(
+            _fold(self._weights, covered | new, self._prefix[low], low))
+
+    def adds_nothing(self, item_id: str) -> bool:
+        return not self._covers[item_id] & ~self._covered
+
+    def pack(self, item_id: str) -> None:
+        self._cover(self._covers[item_id] & ~self._covered)
+
+    def _cover(self, new: int) -> None:
+        if new:
+            low = (new & -new).bit_length() - 1
+            self._covered |= new
+            flags = _bit_flags((self._covered | 1 << len(self._weights)) >> low)
+            self._prefix[low:] = accumulate(map(mul, self._weights[low:], flags), add,
+                                            initial=self._prefix[low])
 
 
 def reference_subset_table(instance: Instance) -> tuple:

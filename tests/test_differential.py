@@ -9,6 +9,7 @@ curvature lemma, which read subset values by bitmask, equal the frozenset
 scans they replaced."""
 
 import bisect
+import itertools
 import math
 import random
 import sys
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (density_tie_start_list, left_sum, memo_values,
-                     reference_curvature_lemma,
+from helpers import (EagerFoldState, density_tie_start_list, left_sum, memo_values,
+                     reference_curvature_lemma, reference_pool,
                      reference_greedy, reference_interval, reference_lemma_draws,
                      reference_opt,
                      reference_policy, reference_scan_oracle,
@@ -38,7 +39,8 @@ from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
 from subknap.greedy import DensityQueue, agreedy, first_items, greedy_sequence, mgreedy
-from subknap.policy import (FitOracle, execute_policy, indispensability_interval,
+from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_START_ITEM, FitOracle,
+                            execute_policy, indispensability_interval,
                             is_indispensable, make_fit_oracle, start_item_list)
 from test_cli import _thirteen_item_table
 
@@ -688,6 +690,111 @@ def test_threads_sharing_the_policy_tree_match_cold(kind):
     for traces in got.values():
         for run, trace in traces:
             assert trace == want[run], run
+
+
+class _FlippedFit(FitOracle):
+    """Answers as the capacity does, but flips the answers to the queries
+    numbered in flips (from 1)."""
+
+    def __init__(self, gamma: int, flips: tuple[int, ...]):
+        super().__init__(gamma)
+        self._flips = flips
+
+    def fits(self, candidate_total_size: int) -> bool:
+        return super().fits(candidate_total_size) != (self.query_count in self._flips)
+
+
+def test_flipped_runs_may_try_items_a_miss_took_from_the_pool():
+    # c and b share a size on the start list, so after c misses, b is tried
+    # although c's miss took it from the pool; a flipped answer then packs
+    # it, or packs or drops a prefix item that left the pool the same way
+    instance = density_tie_start_list()
+    cold = Instance(instance.items, instance.oracle)
+    big = 10 ** 6
+    flips = [f for r in range(3) for f in itertools.combinations(range(1, 6), r)]
+    for gamma in (1, 2, 3, big - 1, big, big + 1, big + 3, 2 * big, 2 * big + 3):
+        for flipped in flips:
+            cold._cache.pop("policy_tree", None)
+            trace = execute_policy(instance, _FlippedFit(gamma, flipped))
+            assert trace.to_dict() == execute_policy(cold, _FlippedFit(gamma, flipped)).to_dict()
+            _assert_packed_float(instance.oracle, trace.packed.items, trace.packed.value)
+            assert trace.packed.total_size == instance.total_size(trace.packed.items)
+
+
+def _decided_pools(instance):
+    """(node's pool, reference_pool of the attempts that lead to it) for
+    every node of the instance's policy tree that holds a decision, and the
+    phases of the misses that lead to one."""
+    pairs, missed = [], set()
+    stack = [(instance._cache["policy_tree"], [])]
+    while stack:
+        node, path = stack.pop()
+        if node.decision is None:
+            continue
+        pairs.append((instance.subset(node.pool), reference_pool(instance, path)))
+        if path and not path[-1].fitted:
+            missed.add(path[-1].phase)
+        if node.decision:
+            records, children = node.decision.attempts, node.decision.children
+            stack += [(child, path + [record]) for record, child in zip(records, children)]
+    return pairs, missed
+
+
+@pytest.mark.parametrize("kind, size_max, seed", [("coverage", 100, 0), ("planted", 10, 0),
+                                                  ("planted", 10, 1), ("planted", 10, 2)])
+def test_node_pools_match_the_pools_attempts_leave(kind, size_max, seed):
+    # every decided node's pool, derived from its parent's by one fit or
+    # miss, must be the pool read from the attempts that lead to it: on the
+    # benchmark's 200-capacity grid and, where the planted start item (size
+    # 4 to 7) and its prefix miss, every capacity below 30; with every third
+    # answer flipped too
+    instance = normalize_instance(generate_instance(
+        GeneratorSpec(kind, n=100, size_max=size_max, seed=seed)))
+    total = instance.total_size(instance.ids)
+    grid = {max(1, round(k * total / 200)) for k in range(1, 201)}
+    for gamma in sorted(grid | set(range(1, 30))):
+        for fit in (FitOracle, _ErraticFit):
+            execute_policy(instance, fit(gamma))
+    pairs, missed = _decided_pools(instance)
+    assert len(pairs) > 200
+    for got, want in pairs:
+        assert got == want
+    if kind == "planted":  # their start lists are not empty
+        assert {PHASE_START_ITEM, PHASE_GREEDY_PREFIX} <= missed
+
+
+# ---------------------------------------------------------------------------
+# a fold state folds its prefix table only when a value needs it; every
+# float must be the one a state that refolded at every pack gives, and a
+# queue values a candidate that adds nothing at its packed value, which must
+# be value_with's float
+
+@settings(max_examples=200, deadline=None)
+@given(_folded_oracle() | _saturating_coverage() | _zero_gain_coverage(), st.data())
+def test_lazy_fold_state_matches_eager(instance, data):
+    oracle, ids = instance.oracle, list(instance.ids)
+    packed = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+    lazy, eager = oracle.packed_state(packed), EagerFoldState(oracle, packed)
+    for move, item in data.draw(st.lists(st.tuples(
+            st.sampled_from(["pack", "value_with", "value_with", "adds_nothing"]),
+            st.sampled_from(ids)), max_size=25)):
+        if move == "pack":
+            lazy.pack(item)
+            eager.pack(item)
+            packed.append(item)
+        elif move == "value_with":
+            assert lazy.value_with(item).hex() == eager.value_with(item).hex(), item
+        else:
+            assert lazy.adds_nothing(item) == eager.adds_nothing(item), item
+    packed = sorted(set(packed))
+    live = [i for i in ids if i not in packed]
+    queue = DensityQueue(instance, live, packed, oracle._value(frozenset(packed)))
+    state = EagerFoldState(oracle, packed)
+    while queue:
+        item, value = queue.select()
+        assert value.hex() == state.value_with(item).hex(), (item, state.adds_nothing(item))
+        queue.pack(item, value)
+        state.pack(item)
 
 
 # ---------------------------------------------------------------------------

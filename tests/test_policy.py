@@ -10,7 +10,7 @@ from subknap.core import (CoverageOracle, Instance, Item, ModularOracle,
                           normalize_instance, size_breakpoints)
 from subknap.exact import breakpoints, check_theorem6
 from subknap.generate import GeneratorSpec, generate_instance
-from subknap import greedy
+from subknap import greedy, policy
 from subknap.greedy import DensityQueue, agreedy, mgreedy
 from subknap.policy import (PHASE_GREEDY_PREFIX, PHASE_MAIN_GREEDY,
                             PHASE_START_ITEM, execute_policy, indispensability_interval,
@@ -415,10 +415,20 @@ def test_coverage_start_lists_build_no_order(monkeypatch, n, size_max):
 #: were refreshed again after every pack
 POLICY_REFRESH_CEILING = 204
 
+#: _FoldState prefix-table folds (_refold) of those runs: 4 measured, where
+#: a value first needs the table; 201 while every state folded its table
+#: when built and at every pack that covered a new rank
+POLICY_FOLD_CEILING = 4
+
+#: PolicyAttempt records those runs build: 200 measured, one miss and one
+#: fit per item and phase reached; 1 756 while every decision built its own
+POLICY_ATTEMPT_CEILING = 200
+
 
 def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_kept(
         monkeypatch):
-    counts = dict.fromkeys(("queues", "states", "selects", "values", "refreshes"), 0)
+    counts = dict.fromkeys(("queues", "states", "selects", "values", "refreshes",
+                            "folds", "attempts"), 0)
 
     def counting(cls, name, key):
         method = getattr(cls, name)
@@ -434,6 +444,13 @@ def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_
     for cls in (PackedState, _FoldState):  # a fold state is built by its own __init__
         counting(cls, "__init__", "states")
         counting(cls, "value_with", "values")
+    counting(_FoldState, "_refold", "folds")
+    attempt = policy.PolicyAttempt
+
+    def counted_attempt(*args):
+        counts["attempts"] += 1
+        return attempt(*args)
+    monkeypatch.setattr(policy, "PolicyAttempt", counted_attempt)
     inst = normalize_instance(generate_instance(
         GeneratorSpec("coverage", n=100, size_max=100, seed=0)))
     total = sum(it.size for it in inst.items)
@@ -452,6 +469,8 @@ def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_
         assert counts["queues"] - queues <= 1, gamma
     assert counts["selects"] <= len(histories)
     assert counts["refreshes"] <= POLICY_REFRESH_CEILING
+    assert counts["folds"] <= POLICY_FOLD_CEILING
+    assert counts["attempts"] <= POLICY_ATTEMPT_CEILING
     counts.update(dict.fromkeys(counts, 0))
     for gamma in caps:
         execute_policy(inst, make_fit_oracle(gamma))
