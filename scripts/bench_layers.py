@@ -33,8 +33,8 @@ unless --out is given, and exits 1 if any child failed.
 
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
 compare with this report's rows by kind, n and phase.  BENCH_15.json,
-BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json and
-BENCH_22.json hold both suites.  With the
+BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json, BENCH_22.json
+and BENCH_23.json hold both suites.  With the
 tree before the measured commit in ../old (git archive COMMIT^ | tar -x -C
 ../old) and the commit itself checked out in ., these commands measure them
 again, the first two each next to the rows of the other suite:
@@ -55,6 +55,8 @@ again, the first two each next to the rows of the other suite:
         --out BENCH_21.json                             # COMMIT^ = 4706a87
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --out BENCH_22.json                             # COMMIT^ = 351a974
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 10 --out BENCH_23.json       # COMMIT^ = 3653ec8
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.

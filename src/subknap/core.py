@@ -23,9 +23,10 @@ TOL = 1e-9
 #: exhaustive routines (the subset table and all that reads it, the
 #: breakpoints, the checkers) refuse more items.  At 22 items the table holds
 #: 2^22 rows (64 MB of values and sizes).  Seed 0, CPython 3.11, numpy 2.4:
-#: building it, the optimum at every breakpoint and validation peak at 201 MB
-#: ru_maxrss (modular) and 295 MB (coverage) in scripts/bench_layers.py, the
-#: sampled curvature lemma at MAX_LEMMA_TRIALS at 101 MB.  Each further item doubles that.
+#: building it, the optimum at every breakpoint and validation peak at 197 MB
+#: ru_maxrss (modular) and 203 MB (coverage) in scripts/bench_layers.py
+#: (BENCH_23.json), the sampled curvature lemma at MAX_LEMMA_TRIALS at
+#: 101 MB.  Each further item doubles that.
 MAX_EXHAUSTIVE_ITEMS = 22
 
 #: the digits of bin() as the bytes 0 and 1, which compress() reads as flags
@@ -577,8 +578,9 @@ class Instance:
         as a bitmask over ids and, once made, its decision: the next item
         tried, its size, the packed value if it fits, its two attempt
         records and two child nodes, or the end of the run; at most one
-        more than the fit queries answered), each item's bit position and,
-        per item size, the mask of the smaller items ("policy_masks"), the
+        more than the fit queries answered), each item's bit and, per item
+        size, the mask of the smaller items ("masks", which the density
+        queues of greedy and the policy narrow their pools by), the
         policy's attempt records, one miss and one fit per item, per phase
         (("policy_attempts", phase)), singletons, the subset table (every
         subset's value, which validation, the curvature lemma and the
@@ -608,6 +610,21 @@ class Instance:
 
     def value(self, ids: Iterable[str]) -> float:
         return self.oracle.evaluate(ids)
+
+
+def item_masks(instance: Instance) -> tuple[dict[str, int], dict[int, int]]:
+    """Each item's bit in a bitmask over instance.ids (see Instance.subset),
+    and per item size the mask of the smaller items; once per instance
+    ("masks")."""
+    def build() -> tuple[dict[str, int], dict[int, int]]:
+        bit = {iid: 1 << i for i, iid in enumerate(instance.ids)}
+        below: dict[int, int] = {}
+        smaller = 0
+        for it in sorted(instance.items, key=lambda it: it.size):
+            below.setdefault(it.size, smaller)
+            smaller |= bit[it.id]
+        return bit, below
+    return instance.cached("masks", build)
 
 
 def size_breakpoints(items: Iterable[Item]) -> tuple[int, ...]:

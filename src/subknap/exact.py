@@ -63,21 +63,15 @@ def _opt_index(instance: Instance) -> tuple:
     """What the optimum at every capacity reads, built once per instance from
     the rows of the subset table in a stable ascending order of size: the
     sizes and values where the running maximum of the values rises (the best
-    value within a capacity is that of the last rise at or below it); the
-    scale, max(1, max |value|); and the near-record rows, those within the
-    first band width of the running maximum at their own place, as their
-    masks (ascending), sizes and values."""
+    value within a capacity is that of the last rise at or below it), and
+    the scale, max(1, max |value|)."""
     def build():
         values, sizes = subset_table(instance)
         scale = max(1.0, np.abs(values).max().item())
         order = np.argsort(sizes, kind="stable")
         record = np.maximum.accumulate(values[order])
         rises = np.concatenate(([0], np.flatnonzero(record[1:] > record[:-1]) + 1))
-        rise_sizes, rise_values = sizes[order[rises]], record[rises]
-        record -= _BAND_WIDTHS[0] * TOL * scale
-        near = np.sort(order[values[order] >= record])
-        return (rise_sizes.tolist(), rise_values.tolist(), scale,
-                (near, sizes[near], values[near]))
+        return sizes[order[rises]].tolist(), record[rises].tolist(), scale
     return instance.cached("opt_index", build)
 
 
@@ -100,24 +94,16 @@ def _scan_opt(instance: Instance, gamma: int) -> Solution:
       no row below L can tie or beat, so the full scan skips every row the
       replay does not see, and both take the same rows.
     Where a held value falls lower, the band widens; the last width admits
-    every feasible row, which is the full scan itself.  Every feasible row
-    with value at least L is a near-record row, so the first band is read
-    from those alone."""
+    every feasible row, which is the full scan itself."""
     values, sizes = subset_table(instance)
-    rise_sizes, rise_values, scale, near = _opt_index(instance)
+    rise_sizes, rise_values, scale = _opt_index(instance)
     # clamped to the total size, the capacity fits the sizes' int64
     cap = min(gamma, int(sizes[-1]))
     top = rise_values[bisect.bisect_right(rise_sizes, cap) - 1]
     for width in _BAND_WIDTHS:
         floor = top - width * TOL * scale
-        if width == _BAND_WIDTHS[0]:
-            masks, band_sizes, band_values = near
-            keep = (band_sizes <= cap) & (band_values >= floor)
-            masks, band_values = masks[keep], band_values[keep]
-        else:
-            masks = np.flatnonzero((sizes <= cap) & (values >= floor))
-            band_values = values[masks]
-        best, best_value, lowest = _replay(masks, band_values)
+        masks = np.flatnonzero((sizes <= cap) & (values >= floor))
+        best, best_value, lowest = _replay(masks, values[masks])
         if lowest >= floor + 2 * TOL * scale:
             break
     return Solution(frozenset(instance.subset(best)), best_value, int(sizes[best]))

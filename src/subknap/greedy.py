@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (Instance, check_capacity, check_oracle, distinct_sizes, singletons,
-                   value_ge, value_gt)
+from .core import (Instance, check_capacity, check_oracle, distinct_sizes, item_masks,
+                   singletons, value_ge, value_gt)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,10 @@ def _single_solution(instance: Instance, item_id: str) -> Solution:
 class DensityQueue:
     """Candidates packed one by one into a set, empty unless packed names
     its items and packed_value its value; select() picks as scan() does,
-    but evaluates lazily (Minoux 1978).  The candidates only shrink: by
-    pack, drop and discard_from.
+    but evaluates lazily (Minoux 1978).  The candidates are pool, a
+    bitmask over instance.ids (see Instance.subset), and only shrink: pack
+    clears the item's bit, and callers narrow pool with their own masks
+    (core.item_masks).
 
     Candidates are valued by the oracle's packed_state, built once from the
     packed items and carried through pack: for coverage, modular and
@@ -94,12 +96,14 @@ class DensityQueue:
     many packs passed since, so a queue built on a packed set selects as
     one that packed the same set without selecting; execute_policy builds
     its queue that way, at its first fit-answer history with no kept
-    decision, and before any selection.
+    decision, and before any selection.  Records and heap entries of items
+    that left the pool stay behind; the head skips them.
 
     A candidate that adds nothing to the packed set, nor to any set packed
     later (PackedState.adds_nothing), has density 0.0 for good: it leaves
-    the records and the heap once the queue is built or a refresh meets it,
-    and stays live, as if its record were fresh at 0.0 for good.
+    the records and the heap for the mask of zeros once the queue is built
+    or a refresh meets it, and stays a candidate, as if its record were
+    fresh at 0.0 for good.
 
     The scan's tie rule is not transitive, so a lazy winner is accepted only
     where it provably equals the scan's: (a) the freshly evaluated head beats
@@ -124,31 +128,37 @@ class DensityQueue:
     for a concave exponent e in (0, 1].
     """
 
-    def __init__(self, instance: Instance, candidates: Iterable[str],
+    def __init__(self, instance: Instance, pool: int,
                  packed: Iterable[str] = (), packed_value: float = 0.0):
         check_oracle(instance)  # the bounds rely on a valid objective
         packed = tuple(packed)
         self._instance = instance
+        self._bit = item_masks(instance)[0]
         self._state = instance.oracle.packed_state(packed)
         self._packs = len(packed)
         self.packed_value = packed_value
-        self._live = sorted(candidates)
-        # live candidates that add nothing to the packed set nor to any set
-        # packed later: their density is 0.0 for good, so they hold no record
-        self._zeros = set(filter(self._state.adds_nothing, self._live))
-        # per other live candidate, when last evaluated: [density bound,
-        # packed value with the candidate, packs made]; at first its
-        # singleton density and value, which are those on the empty set, a
-        # subset of any packed set (so v / size, not less packed_value), and
-        # stamp 0 is fresh only while nothing is packed
+        self.pool = pool
+        # candidates that add nothing to the packed set nor to any set
+        # packed later, as a mask: their density is 0.0 for good, so they
+        # hold no record
+        self._zeros = 0
+        # per other candidate, when last evaluated: [density bound, packed
+        # value with the candidate, packs made]; at first its singleton
+        # density and value, which are those on the empty set, a subset of
+        # any packed set (so v / size, not less packed_value), and stamp 0
+        # is fresh only while nothing is packed
         values = singletons(instance)
-        self._records = {iid: [values[iid] / instance.size(iid), values[iid], 0]
-                         for iid in self._live if iid not in self._zeros}
+        self._records = {}
+        for iid in instance.subset(pool):
+            if self._state.adds_nothing(iid):
+                self._zeros |= self._bit[iid]
+            else:
+                self._records[iid] = [values[iid] / instance.size(iid), values[iid], 0]
         self._heap = [(-r[0], iid) for iid, r in self._records.items()]
         heapq.heapify(self._heap)
 
-    def __len__(self) -> int:
-        return len(self._live)
+    def __bool__(self) -> bool:
+        return self.pool != 0
 
     def value_with(self, item_id: str) -> float:
         """Value of the packed set plus item_id."""
@@ -165,7 +175,7 @@ class DensityQueue:
         best_id = None
         best_density = 0.0
         best_value = 0.0
-        for iid in self._live:
+        for iid in self._instance.subset(self.pool):
             density, v = self._evaluate(iid)
             if best_id is None or value_gt(density, best_density):
                 best_id, best_density, best_value = iid, density, v
@@ -173,12 +183,12 @@ class DensityQueue:
 
     def select(self) -> tuple[str, float]:
         """The candidate scan() picks, and the value of the packed set with it."""
-        records, zeros = self._records, self._zeros
+        records = self._records
         drift = self._instance.oracle.gain_drift(self._packs)
         while True:
             head = self._head()
             if head is None:  # every density is 0.0: the scan keeps the first
-                return self._live[0], self.packed_value
+                return self._first(), self.packed_value
             if not self._fresh(head):
                 self._refresh(head)
                 continue
@@ -189,13 +199,13 @@ class DensityQueue:
             # no other density exceeds rival's bound plus drift, and those
             # of zeros are 0.0
             ceiling = max(-math.inf if rival is None else records[rival][0] + drift,
-                          0.0 if zeros else -math.inf)
+                          0.0 if self._zeros & self.pool else -math.inf)
             if ceiling == -math.inf or value_gt(best, ceiling):
                 return head, value
             # no density at all exceeds top
             top = max(best + drift, ceiling)
-            first = self._live[0]
-            if first in zeros:
+            first = self._first()
+            if self._bit[first] & self._zeros:
                 if not value_gt(top, 0.0):
                     return first, self.packed_value
             elif self._fresh(first) and not value_gt(top, records[first][0]):
@@ -207,34 +217,17 @@ class DensityQueue:
             self._refresh(stale)
 
     def pack(self, item_id: str, value: float) -> None:
-        """Add an item to the packed set, whose value becomes value; a
-        candidate stops being one."""
-        self.drop(item_id)
+        """Add an item to the packed set, whose value becomes value; it
+        leaves the pool, if it was there (a policy run whose fit answers no
+        capacity gives may try an item that already left its pool)."""
+        self.pool &= ~self._bit[item_id]
         self._state.pack(item_id)
         self._packs += 1
         self.packed_value = value
 
-    def drop(self, item_id: str) -> None:
-        """Drop one candidate without packing it; an item that is no
-        candidate stays none (a policy run whose fit answers no capacity
-        gives may try an item that already left its pool)."""
-        if item_id in self._records or item_id in self._zeros:
-            del self._live[bisect.bisect_left(self._live, item_id)]
-            self._forget(item_id)
-
-    def discard_from(self, size: int) -> None:
-        """Drop every candidate of at least this size."""
-        keep = []
-        for iid in self._live:
-            if self._instance.size(iid) < size:
-                keep.append(iid)
-            else:
-                self._forget(iid)
-        self._live = keep
-
-    def _forget(self, item_id: str) -> None:
-        if self._records.pop(item_id, None) is None:
-            self._zeros.remove(item_id)
+    def _first(self) -> str:
+        """The smallest candidate id: the pool's lowest set bit."""
+        return self._instance.ids[(self.pool & -self.pool).bit_length() - 1]
 
     def _evaluate(self, item_id: str) -> tuple[float, float]:
         """Density of item_id on the packed set, and the set's value with it."""
@@ -242,16 +235,16 @@ class DensityQueue:
         return (v - self.packed_value) / self._instance.size(item_id), v
 
     def _fresh(self, item_id: str) -> bool:
-        return item_id in self._zeros or self._records[item_id][2] == self._packs
+        return bool(self._bit[item_id] & self._zeros) or self._records[item_id][2] == self._packs
 
     def _head(self) -> str | None:
-        """Live candidate with the largest bound, ties by ascending id;
-        entries of packed, dropped or re-evaluated candidates are skipped."""
-        heap, records = self._heap, self._records
+        """Candidate with the largest bound, ties by ascending id; entries of
+        items that left the pool, and of re-evaluated candidates, are skipped."""
+        heap, records, bit = self._heap, self._records, self._bit
         while heap:
             key, iid = heap[0]
             record = records.get(iid)
-            if record is not None and record[0] == -key:
+            if record is not None and record[0] == -key and self.pool & bit[iid]:
                 return iid
             heapq.heappop(heap)
         return None
@@ -259,7 +252,7 @@ class DensityQueue:
     def _refresh(self, item_id: str) -> None:
         if self._state.adds_nothing(item_id):
             del self._records[item_id]
-            self._zeros.add(item_id)
+            self._zeros |= self._bit[item_id]
             return
         record = self._records[item_id]
         density, v = self._evaluate(item_id)
@@ -307,20 +300,18 @@ def first_items(instance: Instance) -> dict[int, tuple[str, float]]:
 
     One DensityQueue over every item, which never packs, so every record
     stays fresh and no candidate is re-evaluated.  Walking the sizes from
-    the largest down, each size drops the items of the size above it, one by
-    one, and selects: what scan picks over the items of size <= t, as the
-    first select of the order at t does.  Building it refuses an invalid table.
+    the largest down, it selects at each size t, what scan picks over the
+    items of size <= t, as the first select of the order at t does, and then
+    narrows its pool to the items below t.  Building it refuses an invalid
+    table.
     """
     def build() -> dict[int, tuple[str, float]]:
-        by_size: dict[int, list[str]] = {}
-        for it in instance.items:
-            by_size.setdefault(it.size, []).append(it.id)
-        queue = DensityQueue(instance, instance.ids)
+        below = item_masks(instance)[1]
+        queue = DensityQueue(instance, (1 << instance.n) - 1)
         firsts = {}
         for t in reversed(distinct_sizes(instance)):
             firsts[t] = queue.select()
-            for iid in by_size[t]:
-                queue.drop(iid)
+            queue.pool &= below[t]
         return firsts
     return instance.cached("first_items", build)
 
@@ -328,9 +319,10 @@ def first_items(instance: Instance) -> dict[int, tuple[str, float]]:
 def _greedy_order(instance: Instance, threshold: int, stop: float
                   ) -> tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]:
     """(order, prefix values, prefix sizes) of the items of size <= threshold,
-    up to the first prefix size >= stop."""
-    queue = DensityQueue(instance,
-                         (it.id for it in instance.items if it.size <= threshold))
+    up to the first prefix size >= stop.  Those are the items below stop, the
+    next larger item size (core.item_masks), or every item where no size is
+    larger (stop is inf)."""
+    queue = DensityQueue(instance, item_masks(instance)[1].get(stop, (1 << instance.n) - 1))
     order: list[str] = []
     values: list[float] = []
     prefix_sizes: list[int] = []

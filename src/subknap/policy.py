@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (Instance, Item, PackedState, check_capacity, distinct_sizes,
-                   sorted_ids, value_gt)
+                   item_masks, sorted_ids, value_gt)
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
                      first_items, greedy_sequence)
 
@@ -240,7 +240,9 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     pool, so on one instance the policy is one decision tree over them,
     kept per instance ("policy_tree") as far as runs have reached it.  A
     node is one history of answers and holds its pool as a bitmask over
-    instance.ids.  Its decision, once made, holds the item tried next with
+    instance.ids, which _decision alone derives, from the item bits and the
+    masks of smaller items that greedy shares (core.item_masks, "masks").
+    Its decision, once made, holds the item tried next with
     its size, the packed value if it fits, the attempts recorded after a
     miss and after a fit (one pair per item and phase on the instance,
     shared by every decision), and the node each answer
@@ -252,10 +254,11 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     one step to a child per node.  At its first node with no decision it
     resumes from what the node holds: it builds a DensityQueue once, on the
     packed set (the items of its fitted attempts), over the node's pool,
-    and decides from there on (_grow).  No selection runs on a node before
-    its first undecided one, so every bound of that queue is still the
-    singleton bound, as in a queue that replayed every pack and discard:
-    the choices and floats are the same.  Concurrent callers may share the
+    and decides from there on (_grow), setting the queue's pool to each
+    child's.  No selection runs on a node before its first undecided one,
+    so every bound of that queue is still the singleton bound, as in a
+    queue that replayed every pack and narrowing: the choices and floats
+    are the same.  Concurrent callers may share the
     tree: a decision is published in one assignment, and every writer of a
     node stores an equal one.
     """
@@ -307,20 +310,6 @@ class _Decision(NamedTuple):
 _END = ()
 
 
-def _masks(instance: Instance) -> tuple[dict[str, int], dict[int, int]]:
-    """Each item's bit position in instance.ids, and per item size the
-    mask of the smaller items; once per instance ("policy_masks")."""
-    def build() -> tuple[dict[str, int], dict[int, int]]:
-        position = {iid: i for i, iid in enumerate(instance.ids)}
-        below: dict[int, int] = {}
-        smaller = 0
-        for it in sorted(instance.items, key=lambda it: it.size):
-            below.setdefault(it.size, smaller)
-            smaller |= 1 << position[it.id]
-        return position, below
-    return instance.cached("policy_masks", build)
-
-
 def _attempts(instance: Instance, item_id: str, phase: str) -> tuple[PolicyAttempt, PolicyAttempt]:
     """The attempts recorded when item_id misses and fits in phase: one pair
     per instance, phase and item (("policy_attempts", phase))."""
@@ -337,9 +326,9 @@ def _decision(instance: Instance, node: _Node, item_id: str, value: float,
     """node's decision to try item_id in phase: a fit packs the item and a
     step-2 miss drops it from the pool, a step-1 or step-3 miss keeps only
     the smaller items."""
-    position, below = _masks(instance)
+    bit, below = item_masks(instance)
     size = instance.size(item_id)
-    fit = node.pool & ~(1 << position[item_id])
+    fit = node.pool & ~bit[item_id]
     miss = fit if phase == PHASE_GREEDY_PREFIX else node.pool & below[size]
     return _Decision(item_id, size, value, _attempts(instance, item_id, phase),
                      (_Node(miss), _Node(fit)))
@@ -350,9 +339,10 @@ def _grow(instance: Instance, oracle: FitOracle, node: _Node,
           packed_value: float) -> tuple[int, float]:
     """Run on from node, the first node of this run with no decision, after
     the attempts walked to it, deciding wherever no decision is kept;
-    returns the packed size and value at the end."""
+    returns the packed size and value at the end.  The queue packs what
+    fits and takes each node's pool as it comes to it."""
     script = _script(instance, start_item_list(instance), attempts)
-    queue = DensityQueue(instance, instance.subset(node.pool),
+    queue = DensityQueue(instance, node.pool,
                          (a.item_id for a in attempts if a.fitted), packed_value)
     next(itertools.islice(script, len(attempts), len(attempts)), None)  # those tried
     while True:
@@ -377,10 +367,7 @@ def _grow(instance: Instance, oracle: FitOracle, node: _Node,
             packed_size += size
             packed_value = value
             queue.pack(item_id, value)
-        elif records[0].phase == PHASE_GREEDY_PREFIX:
-            queue.drop(item_id)
-        else:
-            queue.discard_from(size)  # a pool item, so below every size that failed
+        queue.pool = node.pool
 
 
 def _script(instance: Instance, start_list: StartList, attempts: list[PolicyAttempt]):

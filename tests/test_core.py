@@ -11,14 +11,14 @@ from subknap.core import (TOL, ConcaveModularOracle, ConfigurationError,
                           CoverageOracle, GuardError, Instance, Item,
                           ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, Violation, curvature, evaluate, instance_digest,
-                          instance_from_dict, instance_to_dict, load_instance,
+                          instance_from_dict, instance_to_dict, item_masks, load_instance,
                           make_concave_modular_oracle, make_coverage_oracle,
                           make_modular_oracle, make_table_oracle,
                           normalize_instance, save_instance, size_breakpoints,
                           subset_table, validate_oracle, value_ge, value_ge_array,
                           value_gt, value_gt_array, values_close,
                           values_close_array)
-from subknap.generate import GeneratorSpec, generate_instance
+from subknap.generate import KINDS, GeneratorSpec, generate_instance
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,23 @@ def test_item_size_must_be_positive_integer():
     for bad in (0, -1, 1.5, True):
         with pytest.raises(ConfigurationError):
             Item("a", bad)
+
+
+def test_item_masks_match_reference(corpus):
+    # each id's bit names that id alone, and the mask below each size names
+    # exactly the items of smaller size, on the corpus and n=100 of every kind
+    instances = [inst for _, inst in corpus] + [
+        generate_instance(GeneratorSpec(kind, n=100, size_max=100, seed=0))
+        for kind in KINDS]
+    for instance in instances:
+        bit, below = item_masks(instance)
+        assert sorted(bit) == list(instance.ids)
+        for i in instance.ids:
+            assert instance.subset(bit[i]) == (i,)
+        assert sorted(below) == sorted({it.size for it in instance.items})
+        for s, mask in below.items():
+            assert instance.subset(mask) == tuple(
+                sorted(it.id for it in instance.items if it.size < s))
 
 
 def test_size_breakpoints():

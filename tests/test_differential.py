@@ -33,7 +33,7 @@ from subknap import exact
 from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
-                          instance_to_dict, normalize_instance,
+                          instance_to_dict, item_masks, normalize_instance,
                           subset_table, validate_oracle)
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
@@ -176,28 +176,32 @@ def test_select_matches_scan_through_packs_drops_and_discards(instance, data):
     # the queue sets aside the candidates that add nothing, at construction
     # (on a packed set too) and when a refresh meets one; select must still
     # pick the scan's candidate and float, whether or not the smallest live
-    # id is one of them
+    # id is one of them.  Between selections the pool loses the packed item,
+    # or is narrowed by one bit, by the mask of the items below a size, or
+    # to any sub-mask
     ids = list(instance.ids)
+    bit, below = item_masks(instance)
     packed = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
-    live = [i for i in ids if i not in packed]
-    queue = DensityQueue(instance, live, packed, instance.oracle._value(frozenset(packed)))
-    while live:
+    pool = sum(bit[i] for i in ids if i not in packed)
+    queue = DensityQueue(instance, pool, packed, instance.oracle._value(frozenset(packed)))
+    while pool:
         want = queue.scan()
         got = queue.select()
         assert (got[0], got[1].hex()) == (want[0], want[1].hex())
-        move = data.draw(st.sampled_from(["pack", "pack", "drop", "discard_from"]))
+        move = data.draw(st.sampled_from(["pack", "pack", "bit", "below", "sub-mask"]))
+        live = instance.subset(pool)
         if move == "pack":
             queue.pack(*got)
-            live.remove(got[0])
-        elif move == "drop":
-            item = data.draw(st.sampled_from(live))
-            queue.drop(item)
-            live.remove(item)
+            pool &= ~bit[got[0]]
         else:
-            size = data.draw(st.sampled_from(sorted({instance.size(i) for i in live})))
-            queue.discard_from(size)
-            live = [i for i in live if instance.size(i) < size]
-        assert len(queue) == len(live)
+            if move == "bit":
+                pool &= ~bit[data.draw(st.sampled_from(live))]
+            elif move == "below":
+                pool &= below[data.draw(st.sampled_from(sorted({instance.size(i) for i in live})))]
+            else:
+                pool = sum(bit[i] for i in data.draw(st.lists(st.sampled_from(live), unique=True)))
+            queue.pool = pool
+        assert queue.pool == pool
 
 
 def test_coverage_n100_every_eligible_threshold():
@@ -787,8 +791,9 @@ def test_lazy_fold_state_matches_eager(instance, data):
         else:
             assert lazy.adds_nothing(item) == eager.adds_nothing(item), item
     packed = sorted(set(packed))
-    live = [i for i in ids if i not in packed]
-    queue = DensityQueue(instance, live, packed, oracle._value(frozenset(packed)))
+    bit = item_masks(instance)[0]
+    pool = sum(bit[i] for i in ids if i not in packed)
+    queue = DensityQueue(instance, pool, packed, oracle._value(frozenset(packed)))
     state = EagerFoldState(oracle, packed)
     while queue:
         item, value = queue.select()
