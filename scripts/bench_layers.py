@@ -9,14 +9,16 @@ child process, which generates the seed-0 instance of its kind and item
 count and times it in CPU seconds (time.process_time).  A run measures both
 suites:
 
-- ``exhaustive`` (n = 16/18/20/22): ``core.subset_table``,
-  ``exact.brute_force_opt`` at every breakpoint and ``core.validate_oracle``,
-  in that order in one child, and a digest of the optima;
-- ``oblivious`` (n = 100/300/500), one child per phase: ``order``, the greedy
-  order over every item (``greedy_sequence`` at the largest item size);
-  ``start_list``, ``start_item_list``; ``policy``, ``start_item_list`` and
-  then ``execute_policy`` at the 200 capacities of the benchmark's grid (k/200
-  of the total size, rounded); and a digest of what the phase computed.
+- ``exhaustive`` (modular and coverage, n = 16/18/20/22):
+  ``core.subset_table``, ``exact.brute_force_opt`` at every breakpoint and
+  ``core.validate_oracle``, in that order in one child, and a digest of the
+  optima;
+- ``oblivious`` (modular, coverage and planted, n = 100/300/500), one child
+  per phase: ``order``, the greedy order over every item (``greedy_sequence``
+  at the largest item size); ``start_list``, ``start_item_list``;
+  ``policy``, ``start_item_list`` and then ``execute_policy`` at the 200
+  capacities of the benchmark's grid (k/200 of the total size, rounded); and
+  a digest of what the phase computed.
 
 Every child reports its ru_maxrss, and runs under an address-space limit of
 MAX_MB and a wall-time limit of TIMEOUT_S.  It first checks that subknap comes
@@ -33,8 +35,9 @@ unless --out is given, and exits 1 if any child failed.
 
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
 compare with this report's rows by kind, n and phase.  BENCH_15.json,
-BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json, BENCH_22.json
-and BENCH_23.json hold both suites.  With the
+BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json, BENCH_22.json,
+BENCH_23.json and BENCH_24.json hold both suites, BENCH_24.json with the
+planted rows.  With the
 tree before the measured commit in ../old (git archive COMMIT^ | tar -x -C
 ../old) and the commit itself checked out in ., these commands measure them
 again, the first two each next to the rows of the other suite:
@@ -57,6 +60,8 @@ again, the first two each next to the rows of the other suite:
         --out BENCH_22.json                             # COMMIT^ = 351a974
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 10 --out BENCH_23.json       # COMMIT^ = 3653ec8
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 10 --out BENCH_24.json       # COMMIT^ = a29c401
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.
@@ -125,17 +130,19 @@ def _oblivious(instance, phase: str) -> dict:
     return {"cpu_s": cpu_s, "digest": _digest(result)}
 
 
-# suite: (item counts, item counts under --quick, phases; None for one child
-# per kind and n)
-SUITES = {"exhaustive": ((16, 18, 20, 22), (12,), (None,)),
-          "oblivious": ((100, 300, 500), (100,), ("order", "start_list", "policy"))}
+# suite: (kinds, item counts, item counts under --quick, phases; None for one
+# child per kind and n); planted follows the kinds of the committed reports,
+# and its start list, unlike theirs, is not empty
+SUITES = {"exhaustive": (KINDS, (16, 18, 20, 22), (12,), (None,)),
+          "oblivious": ((*KINDS, "planted"), (100, 300, 500), (100,),
+                        ("order", "start_list", "policy"))}
 
 
 def rows(quick: bool) -> list[dict]:
     """The key of every row of a run, in the order they are measured."""
     return [{"suite": suite, "kind": kind, "n": n, **({"phase": p} if p else {})}
-            for suite, (sizes, quick_sizes, phases) in SUITES.items()
-            for kind in KINDS for n in (quick_sizes if quick else sizes)
+            for suite, (kinds, sizes, quick_sizes, phases) in SUITES.items()
+            for kind in kinds for n in (quick_sizes if quick else sizes)
             for p in phases]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations, compress
@@ -563,32 +564,35 @@ class Instance:
         object.__setattr__(self, "_by_id", {it.id: it for it in self.items})
         object.__setattr__(self, "ids", sorted_ids(ids))
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_lock", threading.RLock())
 
     def cached(self, key, build):
         """Result of build() memoized on this instance under key.
 
         Instances and their oracles are immutable, so what is derived from
-        them is computed once per instance, here and nowhere else: the
-        validation verdict, the sorted distinct item sizes ("sizes"), greedy
-        orders with the value of each prefix, the first item of each order
-        with its value ("first_items"), the packed state of each distinct
-        first item, which the start list values items on (("first_state",
-        item)), the start list, the policy's tree of kept decisions
-        ("policy_tree": per fit-answer history reached, the pool it leaves
-        as a bitmask over ids and, once made, its decision: the next item
-        tried, its size, the packed value if it fits, its two attempt
-        records and two child nodes, or the end of the run; at most one
-        more than the fit queries answered), each item's bit and, per item
-        size, the mask of the smaller items ("masks", which the density
-        queues of greedy and the policy narrow their pools by), the
-        policy's attempt records, one miss and one fit per item, per phase
-        (("policy_attempts", phase)), singletons, the subset table (every
-        subset's value, which validation, the curvature lemma and the
-        optimum read), breakpoints, curvature and the optimum per capacity.
+        them is computed once per instance, here and nowhere else.  Each key
+        has one builder, which says what it holds: "validation"
+        (validate_oracle), "sizes" (distinct_sizes), "masks" (item_masks),
+        and "singletons", "subset_table" and "curvature" (the functions of
+        those names); ("greedy", threshold) (greedy.greedy_sequence),
+        "first_items" (greedy.first_items); ("first_state", item)
+        (policy._first_state), "start_list" (policy.start_item_list),
+        "policy_tree" (policy.execute_policy), ("policy_attempts", phase)
+        (policy._decision); "breakpoints" (exact.breakpoints), "opt_index"
+        (exact._opt_index) and ("opt", gamma) (exact.brute_force_opt).
+
+        A hit is one dict lookup.  A miss builds under the instance's
+        reentrant lock, so concurrent first callers build a key once, and a
+        builder may ask for other keys.
         """
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
 
     @property
     def n(self) -> int:
@@ -841,11 +845,15 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
+    if not isinstance(data, Mapping):
+        raise ConfigurationError("malformed instance data: the document must be a JSON object")
+    if not isinstance(data.get("objective", {}), Mapping):
+        raise ConfigurationError("malformed instance data: objective must be a JSON object")
     try:
         raw_items = data["items"]
         objective = data["objective"]
         kind = objective["kind"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigurationError(f"malformed instance data: missing {exc}") from exc
     if not isinstance(raw_items, list):
         raise ConfigurationError("instance items must be a list")
@@ -854,11 +862,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         if not isinstance(entry, Mapping) or "id" not in entry:
             raise ConfigurationError(
                 f"each item must be an object with an id and a size, got {entry!r}")
-        size = entry.get("size")
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise ConfigurationError(
-                f"item {entry.get('id')!r}: size must be a positive integer")
-        items.append(Item(entry["id"], size))
+        items.append(Item(entry["id"], entry.get("size")))
 
     def field(name: str) -> Mapping:
         value = objective[name]

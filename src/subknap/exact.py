@@ -32,8 +32,9 @@ from .core import (MAX_EXHAUSTIVE_ITEMS, GuardError, Instance, TOL,  # noqa: F40
                    instance_digest, size_breakpoints, sorted_ids, subset_table,
                    value_ge, value_ge_array, value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
-from .policy import (_head_change, execute_policy, indispensability_interval,
-                     is_indispensable, make_fit_oracle)
+from .policy import (REASON_INDISPENSABLE, _head_change, execute_policy,
+                     indispensability_interval, is_indispensable, make_fit_oracle,
+                     start_item_list)
 
 MAX_CURVATURE_EXHAUSTIVE = 8
 MAX_LEMMA_TRIALS = 10 ** 5
@@ -533,7 +534,8 @@ def _running_min(values: np.ndarray) -> float:
 # indispensable-item properties
 
 def check_indispensable_properties(instance: Instance) -> CheckReport:
-    """Structural checks on every indispensable item.
+    """Structural checks on every indispensable item, read from the start
+    list, which holds them all in (size, id) order.
 
     For each flagged item: the replay prefix is nonempty and strictly smaller
     than the item; agreedy returns the item exactly on the computed capacity
@@ -546,10 +548,11 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
     rec = _Recorder()
     notes = []
     flagged = 0
-    for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
-        res = is_indispensable(instance, it)
-        if not res.indispensable:
+    for entry in start_item_list(instance):
+        if entry.reason != REASON_INDISPENSABLE:
             continue
+        it = instance.item(entry.item_id)
+        res = is_indispensable(instance, it)
         flagged += 1
         prefix_size = instance.total_size(res.greedy_prefix)
         rec.check(

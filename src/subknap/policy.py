@@ -11,7 +11,6 @@ fit queries.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -250,33 +249,54 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     the run ends.  That is at most one decision more than the fit queries
     ever answered on the instance.
 
-    A run walks the kept decisions: one fit query, one recorded attempt and
-    one step to a child per node.  At its first node with no decision it
-    resumes from what the node holds: it builds a DensityQueue once, on the
-    packed set (the items of its fitted attempts), over the node's pool,
-    and decides from there on (_grow), setting the queue's pool to each
-    child's.  No selection runs on a node before its first undecided one,
-    so every bound of that queue is still the singleton bound, as in a
-    queue that replayed every pack and narrowing: the choices and floats
-    are the same.  Concurrent callers may share the
-    tree: a decision is published in one assignment, and every writer of a
-    node stores an equal one.
+    A run is one loop over nodes, from the root: at each node it takes the
+    kept decision or makes one, then asks one fit query, records one
+    attempt and moves to the child the answer names.  The script of steps
+    1 and 2 (_script) advances with every step, so it always names the item
+    a decision at the node tries, if steps 1 or 2 have one.  At the first
+    node with no decision the run builds a DensityQueue over the node's
+    pool, on the packed set (the items of its fitted attempts); from then
+    on the queue packs what fits and takes each child's pool.  No selection
+    runs on a node before its first undecided one, so every bound of that
+    queue is still the singleton bound, as in a queue that replayed every
+    pack and narrowing: the choices and floats are the same.  Concurrent
+    callers may share the tree: a decision is published in one assignment,
+    and every writer of a node stores an equal one.
     """
     node = instance.cached("policy_tree", lambda: _Node((1 << instance.n) - 1))
     attempts: list[PolicyAttempt] = []
+    script = _script(instance, start_item_list(instance), attempts)
+    queue = None
     packed_size = 0
     packed_value = 0.0
-    while decision := node.decision:
-        _, size, value, records, children = decision
+    while True:
+        step = next(script, None)
+        decision = node.decision
+        if decision is None:
+            if queue is None:
+                queue = DensityQueue(instance, node.pool,
+                                     (a.item_id for a in attempts if a.fitted), packed_value)
+            if step is not None:
+                item_id, phase = step
+                decision = _decision(instance, node, item_id, queue.value_with(item_id), phase)
+            elif queue:
+                decision = _decision(instance, node, *queue.select(), PHASE_MAIN_GREEDY)
+            else:
+                decision = _END
+            node.decision = decision
+        if not decision:
+            break
+        item_id, size, value, records, children = decision
         ok = bool(oracle.fits(packed_size + size))  # fits may return any truth value
         attempts.append(records[ok])
+        node = children[ok]
         if ok:
             packed_size += size
             packed_value = value
-        node = children[ok]
-    if decision is None:
-        packed_size, packed_value = _grow(instance, oracle, node, attempts,
-                                          packed_size, packed_value)
+        if queue is not None:
+            if ok:
+                queue.pack(item_id, value)
+            queue.pool = node.pool
     return PolicyTrace(
         attempts=tuple(attempts),
         packed=Solution(frozenset(a.item_id for a in attempts if a.fitted),
@@ -310,64 +330,22 @@ class _Decision(NamedTuple):
 _END = ()
 
 
-def _attempts(instance: Instance, item_id: str, phase: str) -> tuple[PolicyAttempt, PolicyAttempt]:
-    """The attempts recorded when item_id misses and fits in phase: one pair
-    per instance, phase and item (("policy_attempts", phase))."""
-    pairs = instance.cached(("policy_attempts", phase), dict)
-    pair = pairs.get(item_id)
-    if pair is None:  # threads that build one together keep the first stored
-        pair = pairs.setdefault(item_id, (PolicyAttempt(item_id, False, phase),
-                                          PolicyAttempt(item_id, True, phase)))
-    return pair
-
-
 def _decision(instance: Instance, node: _Node, item_id: str, value: float,
               phase: str) -> _Decision:
     """node's decision to try item_id in phase: a fit packs the item and a
     step-2 miss drops it from the pool, a step-1 or step-3 miss keeps only
-    the smaller items."""
+    the smaller items.  Its attempt records are one pair per instance,
+    phase and item (("policy_attempts", phase))."""
     bit, below = item_masks(instance)
     size = instance.size(item_id)
     fit = node.pool & ~bit[item_id]
     miss = fit if phase == PHASE_GREEDY_PREFIX else node.pool & below[size]
-    return _Decision(item_id, size, value, _attempts(instance, item_id, phase),
-                     (_Node(miss), _Node(fit)))
-
-
-def _grow(instance: Instance, oracle: FitOracle, node: _Node,
-          attempts: list[PolicyAttempt], packed_size: int,
-          packed_value: float) -> tuple[int, float]:
-    """Run on from node, the first node of this run with no decision, after
-    the attempts walked to it, deciding wherever no decision is kept;
-    returns the packed size and value at the end.  The queue packs what
-    fits and takes each node's pool as it comes to it."""
-    script = _script(instance, start_item_list(instance), attempts)
-    queue = DensityQueue(instance, node.pool,
-                         (a.item_id for a in attempts if a.fitted), packed_value)
-    next(itertools.islice(script, len(attempts), len(attempts)), None)  # those tried
-    while True:
-        step = next(script, None)
-        decision = node.decision
-        if decision is None:
-            if step is not None:
-                item_id, phase = step
-                decision = _decision(instance, node, item_id, queue.value_with(item_id), phase)
-            elif queue:
-                decision = _decision(instance, node, *queue.select(), PHASE_MAIN_GREEDY)
-            else:
-                decision = _END
-            node.decision = decision
-        if not decision:
-            return packed_size, packed_value
-        item_id, size, value, records, children = decision
-        ok = bool(oracle.fits(packed_size + size))
-        attempts.append(records[ok])
-        node = children[ok]
-        if ok:
-            packed_size += size
-            packed_value = value
-            queue.pack(item_id, value)
-        queue.pool = node.pool
+    pairs = instance.cached(("policy_attempts", phase), dict)
+    records = pairs.get(item_id)
+    if records is None:  # threads that build one together keep the first stored
+        records = pairs.setdefault(item_id, (PolicyAttempt(item_id, False, phase),
+                                             PolicyAttempt(item_id, True, phase)))
+    return _Decision(item_id, size, value, records, (_Node(miss), _Node(fit)))
 
 
 def _script(instance: Instance, start_list: StartList, attempts: list[PolicyAttempt]):

@@ -1,8 +1,9 @@
 """The layer harness, scripts/bench_layers.py: rows measured in this process
-equal direct library calls, its row keys are those of the committed
-BENCH_11.json and BENCH_12.json, and a child that cannot time its checkout
-comes back as a failed row.  The --child entry sets RLIMIT_AS on its own
-process, so these tests only reach it through child processes."""
+equal direct library calls, its leading row keys are those of the committed
+BENCH_11.json and BENCH_12.json, the planted rows follow them, and a child
+that cannot time its checkout comes back as a failed row.  The --child entry
+sets RLIMIT_AS on its own process, so these tests only reach it through child
+processes."""
 
 import hashlib
 import importlib.util
@@ -66,8 +67,12 @@ def test_rows_have_the_keys_of_the_committed_reports():
                       "exhaustive")
                  + keys(json.loads((ROOT / "BENCH_12.json").read_text())["layers"]["pr"],
                         "oblivious"))
-    assert bench.rows(quick=False) == committed
-    assert [r["n"] for r in bench.rows(quick=True)] == [12] * 2 + [100] * 6
+    full = bench.rows(quick=False)
+    assert full[:len(committed)] == committed
+    assert full[len(committed):] == [
+        {"suite": "oblivious", "kind": "planted", "n": n, "phase": p}
+        for n in (100, 300, 500) for p in ("order", "start_list", "policy")]
+    assert [r["n"] for r in bench.rows(quick=True)] == [12] * 2 + [100] * 9
 
 
 def test_child_without_sources_fails_its_row(tmp_path):

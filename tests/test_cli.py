@@ -147,6 +147,15 @@ def test_eval_refuses_invalid_table(bad_table_file):
                  "--alg", "agreedy"]) == 2
 
 
+#: inputs whose one line must say what is wrong with them
+_NOT_AN_OBJECT = {
+    '"x"': "error: malformed instance data: the document must be a JSON object",
+    '[1, 2]': "error: malformed instance data: the document must be a JSON object",
+    '{"items": [{"id": "a", "size": 1}], "objective": "modular"}':
+        "error: malformed instance data: objective must be a JSON object",
+}
+
+
 @pytest.mark.parametrize("text", [
     '{"items": ["a"], "objective": {"kind": "modular", "weights": {"a": 1.0}}}',
     '{"items": [{"id": "a", "size": 1}],'
@@ -163,9 +172,10 @@ def test_eval_refuses_invalid_table(bad_table_file):
     ' "concave_modular", "weights": {"a": 1.0}, "exponent": 1%s}}' % ("0" * 400),
     '{"items": [{"id": "a", "size": 1%s}],'
     ' "objective": {"kind": "modular", "weights": {"a": 1.0}}}' % ("0" * 400),
+    *_NOT_AN_OBJECT,
 ], ids=["non_object_item", "string_weight", "nan_weight", "overflowing_weights",
         "null_id", "oversized_int_weight", "oversized_int_exponent",
-        "oversized_int_size"])
+        "oversized_int_size", "string_document", "list_document", "string_objective"])
 def test_eval_malformed_instance_exit_2(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -174,6 +184,8 @@ def test_eval_malformed_instance_exit_2(text, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if text in _NOT_AN_OBJECT:
+        assert lines[0] == _NOT_AN_OBJECT[text]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from helpers import (EagerFoldState, density_tie_start_list, left_sum, memo_valu
                      reference_start_list, reference_subset_table,
                      reference_subset_values, reference_value, sneaky_bad_table,
                      superadditive_table, zero_item_supermodular)
-from subknap import exact
+from subknap import exact, policy
 from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
@@ -694,6 +694,38 @@ def test_threads_sharing_the_policy_tree_match_cold(kind):
     for traces in got.values():
         for run, trace in traces:
             assert trace == want[run], run
+
+
+def test_concurrent_first_callers_build_the_start_list_once(monkeypatch):
+    # four threads run the policy on a fresh instance at once, switching
+    # every microsecond; a cache miss builds under the instance's lock, so
+    # the start list is built once, with one indispensability test per item
+    calls = []
+    test = policy.is_indispensable
+
+    def counted(instance, item):
+        calls.append(item)
+        return test(instance, item)
+    monkeypatch.setattr(policy, "is_indispensable", counted)
+    base = generate_instance(GeneratorSpec("planted", n=100, seed=3))
+    total = base.total_size(base.ids)
+    caps = sorted({max(1, total * k // 60) for k in range(1, 61)})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            instance = Instance(base.items, base.oracle)
+            calls.clear()
+            threads = [threading.Thread(target=lambda: [
+                execute_policy(instance, make_fit_oracle(g)) for g in caps]) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert len(calls) == instance.n, trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class _FlippedFit(FitOracle):

@@ -427,6 +427,11 @@ POLICY_ATTEMPT_CEILING = 200
 
 def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_kept(
         monkeypatch):
+    # on coverage, whose start list is empty, and on planted n=100 (seed 0),
+    # whose start item (size 7) misses at the two smallest capacities of the
+    # grid; taken in ascending order, the next run fits it and resumes at
+    # that fit, inside the script of steps 1 and 2, and decides the greedy
+    # prefix there.  The ceilings above are coverage's
     counts = dict.fromkeys(("queues", "states", "selects", "values", "refreshes",
                             "folds", "attempts"), 0)
 
@@ -445,36 +450,51 @@ def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_
         counting(cls, "__init__", "states")
         counting(cls, "value_with", "values")
     counting(_FoldState, "_refold", "folds")
-    attempt = policy.PolicyAttempt
+    attempt, decide = policy.PolicyAttempt, policy._decision
+    phases = []  # of the decisions made
 
     def counted_attempt(*args):
         counts["attempts"] += 1
         return attempt(*args)
+
+    def counted_decision(*args):
+        phases.append(args[-1])
+        return decide(*args)
     monkeypatch.setattr(policy, "PolicyAttempt", counted_attempt)
-    inst = normalize_instance(generate_instance(
-        GeneratorSpec("coverage", n=100, size_max=100, seed=0)))
-    total = sum(it.size for it in inst.items)
-    caps = sorted({max(1, round(k * total / 200)) for k in range(1, 201)})
-    random.Random(0).shuffle(caps)
-    start_item_list(inst)  # every greedy order the policy reads
-    counts.update(dict.fromkeys(counts, 0))
-    histories = set()  # of step-3 choices: the fit answers before each
-    for gamma in caps:
-        queues = counts["queues"]
-        history = 1
-        for a in execute_policy(inst, make_fit_oracle(gamma)).attempts:
-            if a.phase == PHASE_MAIN_GREEDY:
-                histories.add(history)
-            history = history << 1 | a.fitted
-        assert counts["queues"] - queues <= 1, gamma
-    assert counts["selects"] <= len(histories)
-    assert counts["refreshes"] <= POLICY_REFRESH_CEILING
-    assert counts["folds"] <= POLICY_FOLD_CEILING
-    assert counts["attempts"] <= POLICY_ATTEMPT_CEILING
-    counts.update(dict.fromkeys(counts, 0))
-    for gamma in caps:
-        execute_policy(inst, make_fit_oracle(gamma))
-    assert counts == dict.fromkeys(counts, 0)
+    monkeypatch.setattr(policy, "_decision", counted_decision)
+    for kind, size_max in (("coverage", 100), ("planted", 10)):
+        inst = normalize_instance(generate_instance(
+            GeneratorSpec(kind, n=100, size_max=size_max, seed=0)))
+        total = sum(it.size for it in inst.items)
+        caps = sorted({max(1, round(k * total / 200)) for k in range(1, 201)})
+        if kind == "coverage":
+            random.Random(0).shuffle(caps)
+        start_item_list(inst)  # every greedy order the policy reads
+        counts.update(dict.fromkeys(counts, 0))
+        histories = set()  # of step-3 choices: the fit answers before each
+        resumed = 0  # runs after the first that decide a greedy-prefix item
+        for run, gamma in enumerate(caps):
+            queues = counts["queues"]
+            phases.clear()
+            history = 1
+            for a in execute_policy(inst, make_fit_oracle(gamma)).attempts:
+                if a.phase == PHASE_MAIN_GREEDY:
+                    histories.add(history)
+                history = history << 1 | a.fitted
+            assert counts["queues"] - queues <= 1, (kind, gamma)
+            resumed += run > 0 and PHASE_GREEDY_PREFIX in phases
+        assert counts["selects"] <= len(histories)
+        if kind == "coverage":
+            assert counts["refreshes"] <= POLICY_REFRESH_CEILING
+            assert counts["folds"] <= POLICY_FOLD_CEILING
+            assert counts["attempts"] <= POLICY_ATTEMPT_CEILING
+        else:
+            assert resumed > 0
+        counts.update(dict.fromkeys(counts, 0))
+        phases.clear()
+        for gamma in caps:
+            execute_policy(inst, make_fit_oracle(gamma))
+        assert counts == dict.fromkeys(counts, 0) and phases == [], kind
 
 
 def test_solutions_and_theorem6_read_the_values_of_their_runs(corpus, monkeypatch):
