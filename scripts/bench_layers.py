@@ -36,8 +36,8 @@ unless --out is given, and exits 1 if any child failed.
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
 compare with this report's rows by kind, n and phase.  BENCH_15.json,
 BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json, BENCH_22.json,
-BENCH_23.json and BENCH_24.json hold both suites, BENCH_24.json with the
-planted rows.  With the
+BENCH_23.json, BENCH_24.json and BENCH_26.json hold both suites, the last
+two with the planted rows.  With the
 tree before the measured commit in ../old (git archive COMMIT^ | tar -x -C
 ../old) and the commit itself checked out in ., these commands measure them
 again, the first two each next to the rows of the other suite:
@@ -62,6 +62,8 @@ again, the first two each next to the rows of the other suite:
         --perfbench-rounds 10 --out BENCH_23.json       # COMMIT^ = 3653ec8
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 10 --out BENCH_24.json       # COMMIT^ = a29c401
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --out BENCH_26.json                             # COMMIT^ = 879ade6
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -162,9 +163,10 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:  # random.Random would take its absolute value
         raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     instance = load_instance(args.instance)
+    with contextlib.suppress(OracleValidationError):  # an invalid table fails below
+        instance = normalize_instance(instance)
     report = validate_oracle(instance)
     if report.ok:
-        instance = normalize_instance(instance)
         caps = exact.breakpoints(instance)
         curvature(instance)
     failed = False

@@ -904,7 +904,7 @@ def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ConfigurationError(f"invalid instance file {path}: {exc}") from exc
     return instance_from_dict(data)
 

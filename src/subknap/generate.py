@@ -52,6 +52,8 @@ class GeneratorSpec:
         # planted draws weights up to 250 * size_max tenths as int64
         if not 1 <= self.size_max <= 2 ** 53:
             raise GenerationError(f"size_max must lie in [1, 2**53], got {self.size_max}")
+        if self.seed < 0:
+            raise GenerationError(f"seed must be nonnegative, got {self.seed}")
         if self.elements is not None and self.elements < 1:
             raise GenerationError(f"elements must be at least 1, got {self.elements}")
         if not 0.0 <= self.cover_density <= 1.0:  # also refuses NaN
@@ -109,9 +111,8 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         weights = {e: int(rng.integers(1, 101)) / 10.0 for e in elements}
         covers = {}
         for i in ids:
-            chosen = [e for e in elements if rng.random() < spec.cover_density]
-            if not chosen:
-                # empty covers would produce a zero-value singleton
+            chosen = [e for e, r in zip(elements, rng.random(m)) if r < spec.cover_density]
+            if not chosen:  # empty covers would produce a zero-value singleton
                 chosen = [elements[int(rng.integers(0, m))]]
             covers[i] = chosen
         return Instance(tuple(_sizes(rng, ids, spec.size_max)),

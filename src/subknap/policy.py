@@ -241,43 +241,45 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     node is one history of answers and holds its pool as a bitmask over
     instance.ids, which _decision alone derives, from the item bits and the
     masks of smaller items that greedy shares (core.item_masks, "masks").
-    Its decision, once made, holds the item tried next with
-    its size, the packed value if it fits, the attempts recorded after a
-    miss and after a fit (one pair per item and phase on the instance,
-    shared by every decision), and the node each answer
-    leads to, with its pool; where the pool is empty the decision is that
-    the run ends.  That is at most one decision more than the fit queries
-    ever answered on the instance.
+    It also holds its script, the items of steps 1 and 2 left to try after
+    that history, with their phases: the root's, built with the tree, is
+    the start list from the largest item, and _decision hands on the rest.
+    Its decision, once made, holds the item tried next with its size, the
+    packed value if it fits, the attempts recorded after a miss and after a
+    fit (one pair per item and phase on the instance, shared by every
+    decision), and the node each answer leads to, with its pool and script;
+    where the pool is empty the decision is that the run ends.  That is at
+    most one decision more than the fit queries ever answered on the
+    instance.
 
     A run is one loop over nodes, from the root: at each node it takes the
     kept decision or makes one, then asks one fit query, records one
-    attempt and moves to the child the answer names.  The script of steps
-    1 and 2 (_script) advances with every step, so it always names the item
-    a decision at the node tries, if steps 1 or 2 have one.  At the first
-    node with no decision the run builds a DensityQueue over the node's
-    pool, on the packed set (the items of its fitted attempts); from then
-    on the queue packs what fits and takes each child's pool.  No selection
-    runs on a node before its first undecided one, so every bound of that
-    queue is still the singleton bound, as in a queue that replayed every
-    pack and narrowing: the choices and floats are the same.  Concurrent
-    callers may share the tree: a decision is published in one assignment,
-    and every writer of a node stores an equal one.
+    attempt and moves to the child the answer names.  A decision made at a
+    node with a script tries the script's first item, so a run that walks
+    kept decisions reads only the tree.  At the first node with no decision
+    the run builds a DensityQueue over the node's pool, on the packed set
+    (the items of its fitted attempts); from then on the queue packs what
+    fits and takes each child's pool.  No selection runs on a node before
+    its first undecided one, so every bound of that queue is still the
+    singleton bound, as in a queue that replayed every pack and narrowing:
+    the choices and floats are the same.  Concurrent callers may share the
+    tree: a decision is published in one assignment, with its children's
+    scripts set, and every writer of a node stores an equal one.
     """
-    node = instance.cached("policy_tree", lambda: _Node((1 << instance.n) - 1))
+    node = instance.cached("policy_tree", lambda: _Node((1 << instance.n) - 1, tuple(
+        (e.item_id, PHASE_START_ITEM) for e in reversed(start_item_list(instance).entries))))
     attempts: list[PolicyAttempt] = []
-    script = _script(instance, start_item_list(instance), attempts)
     queue = None
     packed_size = 0
     packed_value = 0.0
     while True:
-        step = next(script, None)
         decision = node.decision
         if decision is None:
             if queue is None:
                 queue = DensityQueue(instance, node.pool,
                                      (a.item_id for a in attempts if a.fitted), packed_value)
-            if step is not None:
-                item_id, phase = step
+            if node.script:
+                item_id, phase = node.script[0]
                 decision = _decision(instance, node, item_id, queue.value_with(item_id), phase)
             elif queue:
                 decision = _decision(instance, node, *queue.select(), PHASE_MAIN_GREEDY)
@@ -308,14 +310,16 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
 class _Node:
     """One fit-answer history of the policy on an instance: the pool it
     leaves, as a bitmask over instance.ids (bit i set means ids[i] is in
-    it), and its decision, None until a run has made it (see
-    execute_policy)."""
+    it), the script of steps 1 and 2 still left after it, as (item id,
+    phase) pairs in the order runs try them, and its decision, None until a
+    run has made it (see execute_policy)."""
 
-    __slots__ = ("decision", "pool")
+    __slots__ = ("decision", "pool", "script")
 
-    def __init__(self, pool: int) -> None:
+    def __init__(self, pool: int, script: tuple[tuple[str, str], ...]) -> None:
         self.decision: _Decision | tuple | None = None
         self.pool = pool
+        self.script = script
 
 
 class _Decision(NamedTuple):
@@ -334,30 +338,23 @@ def _decision(instance: Instance, node: _Node, item_id: str, value: float,
               phase: str) -> _Decision:
     """node's decision to try item_id in phase: a fit packs the item and a
     step-2 miss drops it from the pool, a step-1 or step-3 miss keeps only
-    the smaller items.  Its attempt records are one pair per instance,
+    the smaller items.  The children keep the rest of node's script, but a
+    fitted start item's child gets its greedy prefix if it is indispensable
+    and nothing otherwise.  Its attempt records are one pair per instance,
     phase and item (("policy_attempts", phase))."""
     bit, below = item_masks(instance)
     size = instance.size(item_id)
     fit = node.pool & ~bit[item_id]
     miss = fit if phase == PHASE_GREEDY_PREFIX else node.pool & below[size]
+    rest = fitted = node.script[1:]
+    if phase == PHASE_START_ITEM:  # indispensable unless it leads its own order
+        fitted = ()
+        if first_items(instance)[size][0] != item_id:
+            run = greedy_sequence(instance, size)
+            fitted = tuple((iid, PHASE_GREEDY_PREFIX) for iid in run.order[:run.k])
     pairs = instance.cached(("policy_attempts", phase), dict)
     records = pairs.get(item_id)
     if records is None:  # threads that build one together keep the first stored
         records = pairs.setdefault(item_id, (PolicyAttempt(item_id, False, phase),
                                              PolicyAttempt(item_id, True, phase)))
-    return _Decision(item_id, size, value, records, (_Node(miss), _Node(fit)))
-
-
-def _script(instance: Instance, start_list: StartList, attempts: list[PolicyAttempt]):
-    """The items of steps 1 and 2, in the order a run tries them, with their
-    phases: start items from the largest until one fits, then its greedy
-    prefix if it is indispensable.  attempts[j] must hold the answer to the
-    j-th item before the next is asked for."""
-    for j, entry in enumerate(reversed(start_list.entries)):
-        yield entry.item_id, PHASE_START_ITEM
-        if attempts[j].fitted:
-            if entry.reason == REASON_INDISPENSABLE:
-                run = greedy_sequence(instance, instance.size(entry.item_id))
-                for iid in run.order[:run.k]:
-                    yield iid, PHASE_GREEDY_PREFIX
-            return
+    return _Decision(item_id, size, value, records, (_Node(miss, rest), _Node(fit, fitted)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -62,6 +63,24 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert header["algorithm"] == "pcg64" and header["seed"] == 42
 
 
+#: sha256 of `gen --kind coverage --n 8 --seed 3 --elements 30` files per
+#: density: at 0.0 all 8 covers are the empty-cover fallback's one element,
+#: at 0.05 4 of them, at 0.5 none
+_COVERAGE_FILE_SHA256 = {
+    "0.0": "14f0fa833ae0e730057dbbf649924e9a6a9a03d45eea3f1a96feee330d8cb5f5",
+    "0.05": "5fb9431e00bed5890341d06a647a4972748dbd561adaffa744b903e35d1e2a04",
+    "0.5": "b5b9e166a03469a4c49e316a2bfd327898e88ef4e0d7246b910ec460c1fa4d63",
+}
+
+
+@pytest.mark.parametrize("density", sorted(_COVERAGE_FILE_SHA256))
+def test_gen_coverage_files_keep_their_bytes(density, tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["gen", "--kind", "coverage", "--n", "8", "--seed", "3", "--elements", "30",
+                 "--density", density, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _COVERAGE_FILE_SHA256[density]
+
+
 def test_gen_planted_has_start_items(tmp_path):
     out = tmp_path / "p.json"
     assert main(["gen", "--kind", "planted", "--n", "6", "--seed", "7",
@@ -88,9 +107,10 @@ def test_gen_concave_exponent_one_is_modular(tmp_path):
      "size_max"),
     (["--kind", "modular", "--n", "100000001"], "n="),
     (["--kind", "coverage", "--n", "2", "--elements", "300000000"], "elements"),
+    (["--kind", "modular", "--n", "4", "--seed", "-1"], "seed"),
 ], ids=["n_1", "elements_0", "elements_negative", "density_nan",
         "density_negative", "density_above_1", "size_max_above_2_53",
-        "n_above_limit", "cover_cells_above_limit"])
+        "n_above_limit", "cover_cells_above_limit", "seed_negative"])
 def test_gen_bad_knobs_exit_2(knobs, named, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["gen", *knobs, "-o", str(out)]) == 2
@@ -172,10 +192,12 @@ _NOT_AN_OBJECT = {
     ' "concave_modular", "weights": {"a": 1.0}, "exponent": 1%s}}' % ("0" * 400),
     '{"items": [{"id": "a", "size": 1%s}],'
     ' "objective": {"kind": "modular", "weights": {"a": 1.0}}}' % ("0" * 400),
+    "[" * 100_000 + "]" * 100_000,
     *_NOT_AN_OBJECT,
 ], ids=["non_object_item", "string_weight", "nan_weight", "overflowing_weights",
         "null_id", "oversized_int_weight", "oversized_int_exponent",
-        "oversized_int_size", "string_document", "list_document", "string_objective"])
+        "oversized_int_size", "deeply_nested", "string_document", "list_document",
+        "string_objective"])
 def test_eval_malformed_instance_exit_2(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -382,6 +404,20 @@ def test_eval_and_sweep_refuse_table_before_normalising(command, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: table oracle refused: submodular violated")
+
+
+def test_verify_and_sweep_read_the_normalised_instance(tmp_path, capsys, monkeypatch):
+    # 23 items, 20 of them worth 0.0: past the exhaustive guard as loaded,
+    # three items once normalised, and every check reads those three
+    monkeypatch.chdir(tmp_path)
+    ids = [f"i{k:02d}" for k in range(23)]
+    inst = Instance(tuple(Item(i, 1 + k % 4) for k, i in enumerate(ids)),
+                    ModularOracle({i: 1.0 + k if k < 3 else 0.0 for k, i in enumerate(ids)}))
+    path = _saved(inst, tmp_path)
+    assert main(["verify", "-i", path, "--trials", "50"]) == 0
+    assert main(["sweep", "-i", path, "-o", "out.csv"]) == 0
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out and captured.err == ""
 
 
 def test_verify_gives_a_larger_table_one_verdict(tmp_path, capsys):

@@ -431,11 +431,12 @@ def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_
     # whose start item (size 7) misses at the two smallest capacities of the
     # grid; taken in ascending order, the next run fits it and resumes at
     # that fit, inside the script of steps 1 and 2, and decides the greedy
-    # prefix there.  The ceilings above are coverage's
+    # prefix there.  The ceilings above are coverage's.  A rerun reads only
+    # the tree: no start list and no greedy order
     counts = dict.fromkeys(("queues", "states", "selects", "values", "refreshes",
-                            "folds", "attempts"), 0)
+                            "folds", "attempts", "start_lists", "greedy_runs"), 0)
 
-    def counting(cls, name, key):
+    def counting(cls, name, key):  # cls may be a module, and then self its first argument
         method = getattr(cls, name)
 
         def counted(self, *args):
@@ -450,6 +451,8 @@ def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_
         counting(cls, "__init__", "states")
         counting(cls, "value_with", "values")
     counting(_FoldState, "_refold", "folds")
+    counting(policy, "start_item_list", "start_lists")
+    counting(policy, "greedy_sequence", "greedy_runs")
     attempt, decide = policy.PolicyAttempt, policy._decision
     phases = []  # of the decisions made
 
