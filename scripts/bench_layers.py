@@ -12,7 +12,11 @@ suites:
 - ``exhaustive`` (modular and coverage, n = 16/18/20/22):
   ``core.subset_table``, ``exact.brute_force_opt`` at every breakpoint and
   ``core.validate_oracle``, in that order in one child, and a digest of the
-  optima;
+  optima; and its ``lemma`` phase (n = 8/10/16/22), ``exact.check_curvature_lemma``
+  at verify's default of LEMMA_TRIALS trials on the seed-0 and then the seed-1
+  instance, each with its subset table and curvature built untimed, in
+  milliseconds: ``cold_ms`` for the first instance on n items in the process,
+  ``warm_ms`` for the second, and a digest of both reports;
 - ``oblivious`` (modular, coverage and planted, n = 100/300/500), one child
   per phase: ``order``, the greedy order over every item (``greedy_sequence``
   at the largest item size); ``start_list``, ``start_item_list``;
@@ -30,14 +34,15 @@ checkouts mean equal answers.
 --perfbench-rounds K runs each checkout's ``perfbench/run.py --seconds 30
 --trace 0`` K times per workload at --perfbench-seed, alternating which
 checkout goes first, and records every run and the median of every metric.
---quick times n=12 (exhaustive) and n=100 (oblivious) only, writes no file
-unless --out is given, and exits 1 if any child failed.
+--quick times n=12 (exhaustive), n=100 (oblivious) and n=8/12 (lemma) only,
+writes no file unless --out is given, and exits 1 if any child failed.
 
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
 compare with this report's rows by kind, n and phase.  BENCH_15.json,
 BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json, BENCH_22.json,
-BENCH_23.json, BENCH_24.json and BENCH_26.json hold both suites, the last
-two with the planted rows.  With the
+BENCH_23.json, BENCH_24.json, BENCH_26.json and BENCH_27.json hold both
+suites, the last three with the planted rows, BENCH_27.json also with the
+lemma rows.  With the
 tree before the measured commit in ../old (git archive COMMIT^ | tar -x -C
 ../old) and the commit itself checked out in ., these commands measure them
 again, the first two each next to the rows of the other suite:
@@ -64,6 +69,8 @@ again, the first two each next to the rows of the other suite:
         --perfbench-rounds 10 --out BENCH_24.json       # COMMIT^ = a29c401
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --out BENCH_26.json                             # COMMIT^ = 879ade6
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 10 --out BENCH_27.json       # COMMIT^ = b4f60e0
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.
@@ -89,6 +96,8 @@ MAX_MB = 1536
 TIMEOUT_S = 120.0
 WORKLOADS = ("corpus_verify", "oblivious_n100")
 PERFBENCH_SECONDS = 30
+#: verify's default --trials, one block of the sampled curvature lemma
+LEMMA_TRIALS = 2000
 
 
 def _digest(value) -> str:
@@ -132,18 +141,36 @@ def _oblivious(instance, phase: str) -> dict:
     return {"cpu_s": cpu_s, "digest": _digest(result)}
 
 
-# suite: (kinds, item counts, item counts under --quick, phases; None for one
+def _lemma(kind: str, n: int) -> dict:
+    from subknap import core, exact
+    from subknap.generate import GeneratorSpec, generate_instance
+
+    instances = [generate_instance(GeneratorSpec(kind, n=n, seed=s)) for s in (0, 1)]
+    for instance in instances:
+        core.subset_table(instance)
+        core.curvature(instance)
+    times, reports = [], []
+    for instance in instances:
+        start = time.process_time()
+        report = exact.check_curvature_lemma(instance, LEMMA_TRIALS)
+        times.append(round((time.process_time() - start) * 1000, 2))
+        reports.append((report.to_dict(), repr(report.worst_slack)))
+    return {"cold_ms": times[0], "warm_ms": times[1], "digest": _digest(reports)}
+
+
+# (suite, kinds, item counts, item counts under --quick, phases; None for one
 # child per kind and n); planted follows the kinds of the committed reports,
-# and its start list, unlike theirs, is not empty
-SUITES = {"exhaustive": (KINDS, (16, 18, 20, 22), (12,), (None,)),
-          "oblivious": ((*KINDS, "planted"), (100, 300, 500), (100,),
-                        ("order", "start_list", "policy"))}
+# and its start list, unlike theirs, is not empty; the lemma rows follow
+SUITES = (("exhaustive", KINDS, (16, 18, 20, 22), (12,), (None,)),
+          ("oblivious", (*KINDS, "planted"), (100, 300, 500), (100,),
+           ("order", "start_list", "policy")),
+          ("exhaustive", KINDS, (8, 10, 16, 22), (8, 12), ("lemma",)))
 
 
 def rows(quick: bool) -> list[dict]:
     """The key of every row of a run, in the order they are measured."""
     return [{"suite": suite, "kind": kind, "n": n, **({"phase": p} if p else {})}
-            for suite, (kinds, sizes, quick_sizes, phases) in SUITES.items()
+            for suite, kinds, sizes, quick_sizes, phases in SUITES
             for kind in kinds for n in (quick_sizes if quick else sizes)
             for p in phases]
 
@@ -152,11 +179,14 @@ def measure(key: dict) -> dict:
     """The row of `key`, measured in this process."""
     from subknap.generate import GeneratorSpec, generate_instance
 
-    instance = generate_instance(GeneratorSpec(key["kind"], n=key["n"], seed=0))
-    if key["suite"] == "exhaustive":
-        result = _exhaustive(instance)
+    if key.get("phase") == "lemma":
+        result = _lemma(key["kind"], key["n"])
     else:
-        result = _oblivious(instance, key["phase"])
+        instance = generate_instance(GeneratorSpec(key["kind"], n=key["n"], seed=0))
+        if key["suite"] == "exhaustive":
+            result = _exhaustive(instance)
+        else:
+            result = _oblivious(instance, key["phase"])
     return {**key, **result,
             "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 

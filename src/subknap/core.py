@@ -584,6 +584,14 @@ class Instance:
         A hit is one dict lookup.  A miss builds under the instance's
         reentrant lock, so concurrent first callers build a key once, and a
         builder may ask for other keys.
+
+        One derived thing lives outside any instance: the curvature lemma's
+        cases (exact._lemma_cases), the subset bitmasks of its checks, which
+        depend only on the item count, and for sampled checks on the seed and
+        trial count, never on an instance.  A cache on the instance would
+        build them again for every instance, so they are kept per process in
+        one functools.lru_cache of exact.LEMMA_CACHE_SIZE keys, as read-only
+        arrays.
         """
         try:
             return self._cache[key]

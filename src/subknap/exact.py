@@ -8,8 +8,9 @@ the scan's tie rule is replayed over the rows within a narrow band below it
 (_scan_opt gives the argument).  The worst case over capacities is evaluated
 exactly by visiting every subset-sum breakpoint, since integer sizes make
 each half-open capacity interval behave like its left endpoint.  The curvature lemma builds the
-bitmasks of a block of trials as numpy arrays, reads their values from the
-same table and checks the block as one array operation.  Validation reads the
+bitmasks of a block of trials as numpy arrays once per process (they depend
+on no instance), reads their values from the same table and checks the
+block as one array operation.  Validation reads the
 table too (core.validate_oracle), and everything here refuses more than
 MAX_EXHAUSTIVE_ITEMS items with GuardError.
 """
@@ -17,6 +18,7 @@ MAX_EXHAUSTIVE_ITEMS items with GuardError.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -384,14 +386,23 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
       marginal_lower:      (1-c) f({j}) <= f(A + j) - f(A)
       disjoint_union:      f(A + B) >= f(A) + (1-c) sum of f({i}), i in B
       marginal_sum_upper:  f(B) <= f(A) + sum of marginals of B - A on A
-    The sets of a block of trials are numpy arrays of bitmasks over
-    instance.ids, valued from core.subset_table and checked as array
-    operations: every exhaustive case in one block, samples in blocks of
-    LEMMA_BLOCK_TRIALS drawn in turn from one seeded Random.  It refuses a
-    negative seed (ValueError), and more than MAX_EXHAUSTIVE_ITEMS items
-    (GuardError) or MAX_LEMMA_TRIALS trials (ValueError).  At 22 items and
-    10^5 trials a process peaks at 101 MB ru_maxrss, against 99 MB once the
-    subset table is built (CPython 3.11, numpy 2.4, modular seed 0).
+    The cases of a block of trials are read-only numpy arrays of bitmasks
+    over instance.ids (_LemmaCases), valued from core.subset_table and
+    checked as array operations: every exhaustive case in one block, samples
+    in blocks of LEMMA_BLOCK_TRIALS drawn in turn from one seeded Random.
+    The cases depend on no instance, so they are built once per process,
+    not once per instance: functools.lru_cache (_lemma_cases) keeps the
+    exhaustive block under the key (n,) and the first sampled block under
+    (n, seed, its trial count), LEMMA_CACHE_SIZE keys at most, the least
+    recently used dropped first; later blocks are drawn afresh from the
+    Random state kept with the first.  It retains 0.5 MB for the keys of
+    n = 4..10 at one seed and trial count (184 KB of it for n = 8), and at
+    most 2.3 MB when full (one n = 8 key and 15 of 135 KB each, a block of
+    2 000 trials at 22 items).  It refuses a negative seed (ValueError), and
+    more than MAX_EXHAUSTIVE_ITEMS items (GuardError) or MAX_LEMMA_TRIALS
+    trials (ValueError).  At 22 items and 10^5 trials a process peaks at
+    101 MB ru_maxrss, against 99 MB once the subset table is built (CPython
+    3.11, numpy 2.4, modular seed 0).
     """
     guard_exhaustive(instance)
     if not 1 <= trials <= MAX_LEMMA_TRIALS:
@@ -401,21 +412,17 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
     c = curvature(instance)
     n = instance.n
     if n <= MAX_CURVATURE_EXHAUSTIVE:
-        blocks = [_exhaustive_lemma_sets(n)]
-        mode = "exhaustive"
+        blocks, mode = [_lemma_cases(n)[0]], "exhaustive"
     else:
-        rng, block = random.Random(seed), LEMMA_BLOCK_TRIALS
-        blocks = (_sampled_lemma_sets(n, *_lemma_draws(rng, n, min(block, trials - done)))
-                  for done in range(0, trials, block))
-        mode = "sampled"
+        blocks, mode = _sampled_blocks(n, trials, seed), "sampled"
     failures: list[Failure] = []
     worst = []  # per block
     sizes = np.zeros(len(_LEMMA_FAMILIES), dtype=np.int64)
-    for sets in blocks:
-        block_failures, block_worst, block_sizes = _check_lemma_sets(instance, c, *sets)
+    for cases in blocks:
+        block_failures, block_worst = _check_lemma_cases(instance, c, cases)
         failures += block_failures
         worst.append(block_worst)
-        sizes += block_sizes
+        sizes += cases.sizes
     # the first of the blocks' minima that equals their minimum is the
     # first slack overall that equals it
     return CheckReport("curvature_lemma", int(sizes.sum()), tuple(failures),
@@ -423,8 +430,85 @@ def check_curvature_lemma(instance: Instance, trials: int = 10000,
                        counts=dict(zip(_LEMMA_FAMILIES, sizes.tolist())))
 
 
+@dataclass(frozen=True)
+class _LemmaCases:
+    """One block of the lemma's cases on n items, without their values: the
+    bitmasks to read from the subset table (int32, bit i for instance.ids[i])
+    and the order in which the checks are counted.  Every array is read-only.
+
+    marginal_lower, one case per entry: A as ml_a, {j} as ml_j, A + j as
+    ml_aj.  disjoint_union and marginal_sum_upper share their cases: A as a,
+    A + B as ab, and whether item i is in B as in_b[i] (bool, one row per
+    item).  Check k of the block is of family[k] (int8) and reads entry
+    at[k] of the three families' sides concatenated; sizes is the case
+    count per family."""
+    ml_a: np.ndarray
+    ml_j: np.ndarray
+    ml_aj: np.ndarray
+    a: np.ndarray
+    ab: np.ndarray
+    in_b: np.ndarray
+    family: np.ndarray
+    at: np.ndarray
+    sizes: tuple[int, int, int]
+
+    @classmethod
+    def of(cls, n: int, ml_a: np.ndarray, ml_j: np.ndarray, in_a: np.ndarray,
+           in_b: np.ndarray, family: np.ndarray, trial: np.ndarray) -> "_LemmaCases":
+        """The cases whose sets are given as _exhaustive_lemma_sets and
+        _sampled_lemma_sets give them: positions j, the items of A and B as
+        bool arrays with one row per item, and the family and case of each
+        check in counted order."""
+        bit = 1 << np.arange(n, dtype=np.int32)
+        ml_a = ml_a.astype(np.int32)
+        a = (in_a * bit[:, None]).sum(axis=0, dtype=np.int32)
+        ab = a | (in_b * bit[:, None]).sum(axis=0, dtype=np.int32)
+        sizes = (len(ml_a), len(a), len(a))
+        cases = cls(ml_a=ml_a, ml_j=bit[ml_j], ml_aj=ml_a | bit[ml_j], a=a, ab=ab,
+                    in_b=np.ascontiguousarray(in_b), family=family.astype(np.int8),
+                    at=(np.cumsum([0, *sizes[:-1]])[family] + trial).astype(np.int32),
+                    sizes=sizes)
+        for array in vars(cases).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        return cases
+
+
+#: keys kept by the cache of the curvature lemma's cases (_lemma_cases)
+LEMMA_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=LEMMA_CACHE_SIZE)
+def _lemma_cases(n: int, seed: int | None = None,
+                 trials: int | None = None) -> tuple[_LemmaCases, tuple | None]:
+    """The lemma's cases on n items and the state of their Random after them,
+    kept for the process since they depend on no instance: under the key
+    (n,) every exhaustive case (state None), under (n, seed, trials) the
+    first block of `trials` samples drawn from Random(seed)."""
+    if seed is None:
+        return _LemmaCases.of(n, *_exhaustive_lemma_sets(n)), None
+    rng = random.Random(seed)
+    cases = _LemmaCases.of(n, *_sampled_lemma_sets(n, *_lemma_draws(rng, n, trials)))
+    return cases, rng.getstate()
+
+
+def _sampled_blocks(n: int, trials: int, seed: int):
+    """The sampled cases of `trials` trials, in blocks of LEMMA_BLOCK_TRIALS
+    drawn in turn from one Random(seed): the first from _lemma_cases, the
+    others afresh from the state kept with it."""
+    block = LEMMA_BLOCK_TRIALS
+    first, state = _lemma_cases(n, seed, min(block, trials))
+    yield first
+    if trials > block:
+        rng = random.Random()
+        rng.setstate(state)
+        for done in range(block, trials, block):
+            draws = _lemma_draws(rng, n, min(block, trials - done))
+            yield _LemmaCases.of(n, *_sampled_lemma_sets(n, *draws))
+
+
 def _exhaustive_lemma_sets(n: int) -> tuple:
-    """The lemma's sets for every case on n items (see _check_lemma_sets)."""
+    """The lemma's sets for every case on n items (see _LemmaCases.of)."""
     # marginal_lower: every (A, j) with j outside A, ordered by A, then j
     ml_a = np.repeat(np.arange(1 << n, dtype=np.int64), n)
     ml_j = np.tile(np.arange(n), 1 << n)
@@ -432,7 +516,7 @@ def _exhaustive_lemma_sets(n: int) -> tuple:
     ml_a, ml_j = ml_a[outside], ml_j[outside]
     # the others: every assignment of the items to A, B or neither;
     # digit i of the ternary code is 1 where item i is in A, 2 in B
-    digits = np.arange(3 ** n, dtype=np.int64)[:, None] // 3 ** np.arange(n) % 3
+    digits = np.arange(3 ** n, dtype=np.int64) // 3 ** np.arange(n)[:, None] % 3
     in_a, in_b = digits == 1, digits == 2
     # counted order: every marginal_lower check, then disjoint_union and
     # marginal_sum_upper in turn, code by code
@@ -444,56 +528,56 @@ def _exhaustive_lemma_sets(n: int) -> tuple:
 
 def _sampled_lemma_sets(n: int, ml_j: np.ndarray, draws: np.ndarray) -> tuple:
     """The lemma's sets for sampled trials, one per row of draws (see
-    _lemma_draws and _check_lemma_sets)."""
+    _lemma_draws and _LemmaCases.of)."""
     trials = len(ml_j)
-    bit = 1 << np.arange(n, dtype=np.int64)
-    in_ml = np.zeros((trials, n), dtype=bool)
-    others = np.arange(n - 1) + (np.arange(n - 1) >= ml_j[:, None])
-    in_ml[np.arange(trials)[:, None], others] = draws[:, :n - 1] < 0.5
-    ml_a = (in_ml * bit).sum(axis=1)
-    in_a = draws[:, n - 1:] < 1.0 / 3.0
-    in_b = ~in_a & (draws[:, n - 1:] < 2.0 / 3.0)
+    # coin k decides the k-th position other than j: the coins' bits below
+    # j stay, the others move up past j
+    coins = ((draws[:, :n - 1] < 0.5) * (1 << np.arange(n - 1, dtype=np.int32))).sum(
+        axis=1, dtype=np.int32)
+    ml_a = (coins & ((1 << ml_j) - 1)) | ((coins >> ml_j) << (ml_j + 1))
+    in_a = draws[:, n - 1:].T < 1.0 / 3.0
+    in_b = ~in_a & (draws[:, n - 1:].T < 2.0 / 3.0)
     # counted order: trial by trial, the three families in turn
     family, trial = np.tile([0, 1, 2], trials), np.repeat(np.arange(trials), 3)
     return ml_a, ml_j, in_a, in_b, family, trial
 
 
-def _check_lemma_sets(instance: Instance, c: float, ml_a: np.ndarray, ml_j: np.ndarray,
-                      in_a: np.ndarray, in_b: np.ndarray, family: np.ndarray,
-                      trial: np.ndarray) -> tuple[list[Failure], float, list[int]]:
-    """The failures in counted order, the running minimum of the slacks and
-    the case count per family of one block of the lemma's cases: the
-    marginal_lower cases (A, j) as ml_a and ml_j, the other two families'
-    as the items in A and in B, one row per case, and the counted order as
-    the family and the case of each check."""
+def _check_lemma_cases(instance: Instance, c: float,
+                       cases: _LemmaCases) -> tuple[list[Failure], float]:
+    """The failures in counted order and the running minimum of the slacks
+    of one block of the lemma's cases on instance."""
     subset = instance.subset
-    bit = 1 << np.arange(instance.n, dtype=np.int64)
-    a, b = (in_a * bit).sum(axis=1), (in_b * bit).sum(axis=1)
-    # A + i for each i in B, and A itself where i is not in B
-    a_plus = np.where(in_b, a[:, None] | bit, a[:, None])
+    # take() reads int32 indices without converting them first
     f = subset_table(instance)[0]
-    f_bit, f_ml_a, f_ml_aj, f_a, f_ab, f_a_plus = (
-        f[bit], f[ml_a], f[ml_a | bit[ml_j]], f[a], f[a | b], f[a_plus])
-
+    f_a, f_ab = f.take(cases.a), f.take(cases.ab)
+    # f({i}) and f(A + i) - f(A) over i in B, each summed in item order as a
+    # left fold from 0.0, as core._fold takes it, where an item outside B
+    # adds 0.0, which leaves every bit alone
+    singletons, marginals = np.zeros(len(f_a)), np.zeros(len(f_a))
     with np.errstate(all="ignore"):
-        sides = ((f_ml_aj - f_ml_a, (1.0 - c) * f_bit[ml_j]),
-                 (f_ab - f_a, (1.0 - c) * _left_fold(np.where(in_b, f_bit, 0.0))),
-                 (f_a + _left_fold(np.where(in_b, f_a_plus - f_a[:, None], 0.0)), f_ab))
-        sizes = [len(lhs) for lhs, _ in sides]
-        at = np.cumsum([0, *sizes[:-1]])[family] + trial
-        lhs, rhs = (np.concatenate(column)[at] for column in zip(*sides))
+        for i, in_b in enumerate(cases.in_b):
+            singletons += np.where(in_b, f[1 << i], 0.0)
+            marginals += np.where(in_b, f.take(cases.a | (1 << i)) - f_a, 0.0)
+        sides = ((f.take(cases.ml_aj) - f.take(cases.ml_a), (1.0 - c) * f.take(cases.ml_j)),
+                 (f_ab - f_a, (1.0 - c) * singletons),
+                 (f_a + marginals, f_ab))
+        lhs, rhs = (np.concatenate(column).take(cases.at) for column in zip(*sides))
         slack = lhs - rhs
+    offset = (0, cases.sizes[0], cases.sizes[0] + cases.sizes[1])
 
-    def witness(family: int, t: int) -> str:
+    def witness(k: int) -> str:
+        family = int(cases.family[k])
+        t = int(cases.at[k]) - offset[family]
         if family == 0:
-            return f"marginal_lower A={list(subset(int(ml_a[t])))} j={instance.ids[ml_j[t]]}"
-        b_set = b[t] if family == 1 else a[t] | b[t]
-        return (f"{_LEMMA_FAMILIES[family]} A={list(subset(int(a[t])))} "
-                f"B={list(subset(int(b_set)))}")
+            j = int(cases.ml_j[t]).bit_length() - 1
+            return f"marginal_lower A={list(subset(int(cases.ml_a[t])))} j={instance.ids[j]}"
+        a, ab = int(cases.a[t]), int(cases.ab[t])
+        return (f"{_LEMMA_FAMILIES[family]} A={list(subset(a))} "
+                f"B={list(subset(ab ^ a if family == 1 else ab))}")
 
-    failures = [Failure(witness(family[k], trial[k]), slack[k].item())
+    failures = [Failure(witness(k), slack[k].item())
                 for k in np.flatnonzero(~value_ge_array(lhs, rhs)).tolist()]
-    return failures, _running_min(slack), sizes
+    return failures, _running_min(slack)
 
 
 def _lemma_draws(rng: random.Random, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,15 +596,6 @@ def _lemma_draws(rng: random.Random, n: int, trials: int) -> tuple[np.ndarray, n
                 yield draw()
     draws = np.fromiter(stream(), dtype=np.float64, count=trials * (2 * n - 1))
     return np.array(ml_j), draws.reshape(trials, 2 * n - 1)
-
-
-def _left_fold(terms: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D array, each a left fold from 0.0 as core._fold
-    takes it, so that adding an absent member's 0.0 leaves every bit alone."""
-    total = np.zeros(len(terms))
-    for column in terms.T:
-        total += column
-    return total
 
 
 def _running_min(values: np.ndarray) -> float:

@@ -1,6 +1,6 @@
 """The layer harness, scripts/bench_layers.py: rows measured in this process
 equal direct library calls, its leading row keys are those of the committed
-BENCH_11.json and BENCH_12.json, the planted rows follow them, and a child
+BENCH_11.json and BENCH_12.json, the planted and lemma rows follow them, and a child
 that cannot time its checkout comes back as a failed row.  The --child entry
 sets RLIMIT_AS on its own process, so these tests only reach it through child
 processes."""
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from subknap import (GeneratorSpec, brute_force_opt, execute_policy,
+from subknap import (GeneratorSpec, brute_force_opt, check_curvature_lemma, execute_policy,
                      generate_instance, greedy_sequence, make_fit_oracle,
                      normalize_instance, start_item_list)
 from subknap.core import size_breakpoints
@@ -71,8 +71,20 @@ def test_rows_have_the_keys_of_the_committed_reports():
     assert full[:len(committed)] == committed
     assert full[len(committed):] == [
         {"suite": "oblivious", "kind": "planted", "n": n, "phase": p}
-        for n in (100, 300, 500) for p in ("order", "start_list", "policy")]
-    assert [r["n"] for r in bench.rows(quick=True)] == [12] * 2 + [100] * 9
+        for n in (100, 300, 500) for p in ("order", "start_list", "policy")] + [
+        {"suite": "exhaustive", "kind": kind, "n": n, "phase": "lemma"}
+        for kind in ("modular", "coverage") for n in (8, 10, 16, 22)]
+    assert [r["n"] for r in bench.rows(quick=True)] == [12] * 2 + [100] * 9 + [8, 12] * 2
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_lemma_row_matches_library(n):
+    key = {"suite": "exhaustive", "kind": "coverage", "n": n, "phase": "lemma"}
+    row = bench.measure(key)
+    assert set(row) == {*key, "cold_ms", "warm_ms", "maxrss_mb", "digest"}
+    reports = [check_curvature_lemma(generate_instance(GeneratorSpec("coverage", n=n, seed=s)),
+                                     bench.LEMMA_TRIALS) for s in (0, 1)]
+    assert row["digest"] == _sha([(r.to_dict(), repr(r.worst_slack)) for r in reports])
 
 
 def test_child_without_sources_fails_its_row(tmp_path):

@@ -17,6 +17,7 @@ import threading
 from functools import reduce
 from operator import or_
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -1107,7 +1108,16 @@ def test_sampled_lemma_in_blocks_matches_reference(monkeypatch, block):
     assert failing
 
 
-def test_default_cli_trials_are_one_lemma_block(monkeypatch):
+@pytest.fixture
+def cold_lemma_cases():
+    """An empty cache of the curvature lemma's cases, which outlives every
+    instance and test."""
+    exact._lemma_cases.cache_clear()
+    yield
+    exact._lemma_cases.cache_clear()
+
+
+def test_default_cli_trials_are_one_lemma_block(monkeypatch, cold_lemma_cases):
     draws = []
     lemma_draws = exact._lemma_draws
 
@@ -1118,3 +1128,93 @@ def test_default_cli_trials_are_one_lemma_block(monkeypatch):
     monkeypatch.setattr(exact, "_lemma_draws", recording)
     check_curvature_lemma(generate_instance(GeneratorSpec("modular", n=9, seed=0)), 2000)
     assert draws == [2000]
+    # the block depends on no instance: a second instance draws nothing
+    check_curvature_lemma(generate_instance(GeneratorSpec("coverage", n=9, seed=1)), 2000)
+    assert draws == [2000]
+
+
+def _cold_warm_reference(instance, trials: int, seed: int, want) -> None:
+    """The lemma's report as the cache left it, from a cleared cache and
+    again from the cache that built, each equal to the reference's."""
+    warm = _lemma_outcome(check_curvature_lemma, instance, trials, seed)
+    exact._lemma_cases.cache_clear()
+    cold = _lemma_outcome(check_curvature_lemma, instance, trials, seed)
+    again = _lemma_outcome(check_curvature_lemma, instance, trials, seed)
+    assert warm == cold == again == want, (instance.n, trials, seed)
+
+
+def test_cached_exhaustive_lemma_cases_match_fresh(cold_lemma_cases):
+    # the exhaustive cases are kept under (n,) alone: every seed and trial
+    # count of every instance on n items reads them
+    for n in range(1, 9):
+        for kind, trials, seed in (("coverage", 100, 0), ("modular", 7, 3)):
+            instance = generate_instance(GeneratorSpec(kind, n=n, seed=n))
+            want = _lemma_outcome(reference_curvature_lemma, instance, trials, seed)
+            _cold_warm_reference(instance, trials, seed, want)
+
+
+@pytest.mark.parametrize("n", [9, 13, 22])
+def test_cached_sampled_lemma_cases_match_fresh(monkeypatch, cold_lemma_cases, n):
+    # the first block is kept under (n, seed, its trial count) with the
+    # state of its Random; later blocks are drawn from that state, so one
+    # seed is one stream whatever the block size and whatever keys the cache
+    # holds (trials=1 in blocks of 2 000 keeps the key that trials=13 in
+    # blocks of 1 starts from).  Small blocks run fewer trials: every block
+    # is a pass over the arrays
+    instance = generate_instance(GeneratorSpec("coverage", n=n, seed=n))
+    want = {}
+    for block, trial_counts in ((exact.LEMMA_BLOCK_TRIALS, (1, 13, 2000, 2001, 4500)),
+                                (1, (1, 13, 200)), (3, (1, 13, 200)), (64, (1, 13, 200))):
+        monkeypatch.setattr(exact, "LEMMA_BLOCK_TRIALS", block)
+        for seed in (0, 1, 7):
+            for trials in trial_counts:
+                if (trials, seed) not in want:
+                    want[trials, seed] = _lemma_outcome(reference_curvature_lemma,
+                                                        instance, trials, seed)
+                _cold_warm_reference(instance, trials, seed, want[trials, seed])
+
+
+def test_cached_lemma_cases_are_read_only(cold_lemma_cases):
+    for cases, _ in (exact._lemma_cases(8), exact._lemma_cases(9, 0, 13)):
+        arrays = {name: v for name, v in vars(cases).items() if isinstance(v, np.ndarray)}
+        assert {a.dtype for name, a in arrays.items() if name not in ("in_b", "family")} \
+            == {np.dtype(np.int32)}
+        assert (arrays["in_b"].dtype, arrays["family"].dtype) \
+            == (np.dtype(bool), np.dtype(np.int8))
+        for name, array in arrays.items():
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+
+def test_lemma_cases_shared_by_threads_match_reference(cold_lemma_cases):
+    # four threads check instances that share the cached cases, from a
+    # cleared cache, switching every microsecond: a key missed by two of them
+    # at once is built twice from the same inputs, and every report must
+    # still be the reference's
+    runs = [(generate_instance(GeneratorSpec(kind, n=n, seed=s)), trials, seed)
+            for kind in ("modular", "coverage") for n, s in ((7, 1), (8, 2), (9, 3), (13, 4))
+            for trials, seed in ((13, 0), (2001, 1))]
+    want = [_lemma_outcome(reference_curvature_lemma, *run) for run in runs]
+    exact._lemma_cases.cache_clear()
+    got: dict[int, list] = {}
+
+    def worker(k: int) -> None:
+        mine = list(range(len(runs)))
+        random.Random(k).shuffle(mine)
+        got[k] = [(r, _lemma_outcome(check_curvature_lemma, *runs[r])) for r in mine]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == [0, 1, 2, 3]
+    for outcomes in got.values():
+        for r, outcome in outcomes:
+            assert outcome == want[r], r
