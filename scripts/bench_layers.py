@@ -17,8 +17,8 @@ suites:
   instance, each with its subset table and curvature built untimed, in
   milliseconds: ``cold_ms`` for the first instance on n items in the process,
   ``warm_ms`` for the second, and a digest of both reports;
-- ``oblivious`` (modular, coverage and planted, n = 100/300/500), one child
-  per phase: ``order``, the greedy order over every item (``greedy_sequence``
+- ``oblivious`` (modular, coverage and planted, n = 100/300/500 and, after
+  the lemma rows, 1000/2000), one child per phase: ``order``, the greedy order over every item (``greedy_sequence``
   at the largest item size); ``start_list``, ``start_item_list``;
   ``policy``, ``start_item_list`` and then ``execute_policy`` at the 200
   capacities of the benchmark's grid (k/200 of the total size, rounded); and
@@ -40,9 +40,10 @@ writes no file unless --out is given, and exits 1 if any child failed.
 BENCH_11.json holds exhaustive rows and BENCH_12.json oblivious rows; they
 compare with this report's rows by kind, n and phase.  BENCH_15.json,
 BENCH_16.json, BENCH_17.json, BENCH_20.json, BENCH_21.json, BENCH_22.json,
-BENCH_23.json, BENCH_24.json, BENCH_26.json and BENCH_27.json hold both
-suites, the last three with the planted rows, BENCH_27.json also with the
-lemma rows.  With the
+BENCH_23.json, BENCH_24.json, BENCH_26.json, BENCH_27.json and
+BENCH_28.json hold both suites, the last four with the planted rows,
+BENCH_27.json and BENCH_28.json also with the lemma rows, and BENCH_28.json
+with the oblivious rows at n = 1000/2000.  With the
 tree before the measured commit in ../old (git archive COMMIT^ | tar -x -C
 ../old) and the commit itself checked out in ., these commands measure them
 again, the first two each next to the rows of the other suite:
@@ -71,6 +72,8 @@ again, the first two each next to the rows of the other suite:
         --out BENCH_26.json                             # COMMIT^ = 879ade6
     python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
         --perfbench-rounds 10 --out BENCH_27.json       # COMMIT^ = b4f60e0
+    python3 scripts/bench_layers.py --checkout parent=../old --checkout pr=. \\
+        --perfbench-rounds 10 --out BENCH_28.json       # COMMIT^ = bad5984
 
 BENCH_11.json's parent rows at n=22 (212 and 264 s of CPU) were measured
 without limits; under TIMEOUT_S they come back failed.
@@ -160,11 +163,14 @@ def _lemma(kind: str, n: int) -> dict:
 
 # (suite, kinds, item counts, item counts under --quick, phases; None for one
 # child per kind and n); planted follows the kinds of the committed reports,
-# and its start list, unlike theirs, is not empty; the lemma rows follow
+# and its start list, unlike theirs, is not empty; the lemma rows follow, and
+# then the oblivious rows past n=500, which --quick leaves out
 SUITES = (("exhaustive", KINDS, (16, 18, 20, 22), (12,), (None,)),
           ("oblivious", (*KINDS, "planted"), (100, 300, 500), (100,),
            ("order", "start_list", "policy")),
-          ("exhaustive", KINDS, (8, 10, 16, 22), (8, 12), ("lemma",)))
+          ("exhaustive", KINDS, (8, 10, 16, 22), (8, 12), ("lemma",)),
+          ("oblivious", ("modular", "planted", "coverage"), (1000, 2000), (),
+           ("order", "start_list", "policy")))
 
 
 def rows(quick: bool) -> list[dict]:

@@ -13,8 +13,8 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, compress
-from operator import add, mul, or_
+from itertools import combinations, compress
+from operator import add, or_
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -94,11 +94,11 @@ def _mask_members(ids: tuple[str, ...], mask: int) -> tuple[str, ...]:
     return tuple(compress(ids, _bit_flags(mask)))
 
 
-def _fold(weights: tuple[float, ...], mask: int, start: float = 0.0, low: int = 0) -> float:
-    """Left fold, from start, of the weights at the set bits of mask from bit
-    low up, in ascending bit order; with the defaults, the sum of the weights
-    the mask names as sum() took it before 3.12 compensated it."""
-    return reduce(add, compress(weights[low:], _bit_flags(mask >> low)), start)
+def _fold(weights: tuple[float, ...], mask: int) -> float:
+    """Left fold, from 0.0, of the weights at the set bits of mask, in
+    ascending bit order: the sum of the weights the mask names as sum() took
+    it before 3.12 compensated it."""
+    return reduce(add, compress(weights, _bit_flags(mask)), 0.0)
 
 
 def _cube_view(cube: np.ndarray, bits: Mapping[int, int]) -> np.ndarray:
@@ -263,71 +263,31 @@ class PackedState:
 
 class _FoldState(PackedState):
     """The packed set of a folded oracle as the mask of the element ranks it
-    covers, and a prefix table: prefix[r], the left fold of the covered
-    weights below rank r.
+    covers, all it keeps of the set.
 
-    A candidate is valued as the prefix up to its lowest new rank, with the
-    fold continued from there over the covered and the new ranks: the
-    additions of _value in the same order, so the same float.  A candidate
-    that covers nothing new leaves the packed value as it is.  The mask is
-    all it keeps of the packed set.
-
-    pack only adds to the mask.  The table is folded when a value_with
-    needs it: at the first value, and at the first value after packs that
-    covered new ranks, then only from the lowest rank covered since the
-    table was last folded.  The table depends only on the mask, so a state
-    built from a set, packed an item at a time, or folded after every pack
-    gives the same floats.  A fold publishes the mask with its new table in
-    one assignment and never changes a published table, and the mask is
-    never reset, so threads may share a state that no one packs any more
-    (policy._first_state): each reads a table of the current mask.
+    A candidate is valued as _value values the packed set plus it: _finish
+    of the left fold of the weights its mask and the covered mask name, so
+    the same float.  A candidate that covers nothing new gets the packed
+    set's own value.  pack only ORs the item's ranks into the mask.
     """
 
     def __init__(self, oracle: "_FoldedOracle", items: Iterable[str] = ()):
         self._oracle = oracle
-        self._weights, self._covers = oracle._weight_of_rank, oracle._ranks_of
+        self._covers = oracle._ranks_of
         self._covered = reduce(or_, map(self._covers.__getitem__, items), 0)
-        self._table: tuple[int, list[float]] | None = None  # (mask, prefix)
 
     def value_with(self, item_id: str) -> float:
-        covered = self._covered
-        new = self._covers[item_id] & ~covered
-        if not new:
-            return self._oracle._finish(self._prefix()[-1])
-        low = (new & -new).bit_length() - 1
-        return self._oracle._finish(
-            _fold(self._weights, covered | new, self._prefix()[low], low))
+        oracle = self._oracle
+        return oracle._finish(_fold(oracle._weight_of_rank,
+                                    self._covered | self._covers[item_id]))
 
     def adds_nothing(self, item_id: str) -> bool:
-        # covered ranks only grow, and value_with returns the packed fold
+        # covered ranks only grow, and value_with returns the packed value
         # itself while an item covers no new rank
         return not self._covers[item_id] & ~self._covered
 
     def pack(self, item_id: str) -> None:
         self._covered |= self._covers[item_id]
-
-    def _prefix(self) -> list[float]:
-        """The prefix table of the covered mask."""
-        table = self._table
-        if table is None or table[0] != self._covered:
-            self._table = table = self._refold(table)
-        return table[1]
-
-    def _refold(self, table: tuple[int, list[float]] | None) -> tuple[int, list[float]]:
-        """(mask, prefix) of the covered mask, refolded from the lowest rank
-        it covers beyond table's mask, or from rank 0 if there is no table."""
-        covered = self._covered
-        if table is None:
-            low, head, start = 0, [], 0.0
-        else:
-            stale = covered & ~table[0]  # the mask only grows
-            low = (stale & -stale).bit_length() - 1
-            head, start = table[1][:low], table[1][low]
-        # an uncovered rank adds w * 0, which leaves the bits of the fold
-        # (never -0.0) as skipping it would; the top bit pads the flags
-        flags = _bit_flags((covered | 1 << len(self._weights)) >> low)
-        head.extend(accumulate(map(mul, self._weights[low:], flags), add, initial=start))
-        return covered, head
 
 
 class _FoldedOracle(ValueOracle):
@@ -575,11 +535,11 @@ class Instance:
         (validate_oracle), "sizes" (distinct_sizes), "masks" (item_masks),
         and "singletons", "subset_table" and "curvature" (the functions of
         those names); ("greedy", threshold) (greedy.greedy_sequence),
-        "first_items" (greedy.first_items); ("first_state", item)
-        (policy._first_state), "start_list" (policy.start_item_list),
-        "policy_tree" (policy.execute_policy), ("policy_attempts", phase)
-        (policy._decision); "breakpoints" (exact.breakpoints), "opt_index"
-        (exact._opt_index) and ("opt", gamma) (exact.brute_force_opt).
+        "first_items" (greedy.first_items); "start_list"
+        (policy.start_item_list), "policy_tree" (policy.execute_policy),
+        ("policy_attempts", phase) (policy._decision); "breakpoints"
+        (exact.breakpoints), "opt_index" (exact._opt_index) and ("opt",
+        gamma) (exact.brute_force_opt).
 
         A hit is one dict lookup.  A miss builds under the instance's
         reentrant lock, so concurrent first callers build a key once, and a

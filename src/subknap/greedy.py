@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (Instance, check_capacity, check_oracle, distinct_sizes, item_masks,
+from .core import (TOL, Instance, check_capacity, check_oracle, distinct_sizes, item_masks,
                    singletons, value_ge, value_gt)
 
 
@@ -106,20 +106,26 @@ class DensityQueue:
     fresh at 0.0 for good.
 
     The scan's tie rule is not transitive, so a lazy winner is accepted only
-    where it provably equals the scan's: (a) the freshly evaluated head beats
-    every other bound, and 0.0 if some candidate adds nothing, by more than
-    the tolerance, or (b) no candidate can beat the freshly evaluated
-    smallest id, which the scan starts from and then keeps.  Where every
-    candidate adds nothing, the scan keeps the smallest id.  Otherwise the
-    scan itself decides.  Both compute densities with _evaluate, so equal
-    choices give equal floats.
+    where it provably equals the scan's.  The cluster is the freshly
+    evaluated heads whose bounds lie within half a tolerance of the largest,
+    with the smallest candidate that adds nothing if 0.0 lies in that band
+    too; stale heads in the band are refreshed first.  No two members beat
+    one another.  (c) If every other bound plus the drift, and 0.0 if a
+    candidate outside the cluster adds nothing, lies beyond the tolerance
+    below the cluster's smallest density, every member beats every other
+    candidate, so the scan picks the cluster's smallest id; a cluster of one
+    is the plain case.  Otherwise (b) no candidate can beat the freshly
+    evaluated smallest id, which the scan starts from and then keeps.  Where
+    every candidate adds nothing, the scan keeps the smallest id.  Otherwise
+    the scan itself decides.  Both compute densities with _evaluate, so
+    equal choices give equal floats.
 
     select values a candidate that adds nothing at packed_value, with no
     call to the state, and that is the float value_with (and so the scan)
     gives.  Such a candidate exists only for a fold state, whose adds_nothing
     says that the item covers no rank outside the packed set's mask; then
     value_with returns _finish of the fold of the covered weights, which is
-    _value's float of the packed set (_FoldState).  packed_value is that
+    _value's float of the packed set (core._FoldState).  packed_value is that
     value by this queue's contract: given as the value of the packed set,
     and after each pack the value that pack was given, which greedy and the
     policy take from value_with or select.  Where nothing is packed it is
@@ -183,25 +189,36 @@ class DensityQueue:
 
     def select(self) -> tuple[str, float]:
         """The candidate scan() picks, and the value of the packed set with it."""
-        records = self._records
+        records, heap = self._records, self._heap
         drift = self._instance.oracle.gain_drift(self._packs)
         while True:
             head = self._head()
             if head is None:  # every density is 0.0: the scan keeps the first
                 return self._first(), self.packed_value
-            if not self._fresh(head):
-                self._refresh(head)
+            # the cluster: the fresh heads within half a tolerance of the
+            # largest bound, popped in heap order; rival is the next head
+            best = records[head][0]
+            edge = best - 0.5 * TOL * max(1.0, abs(best))
+            cluster, rival = [], head
+            while rival is not None and records[rival][0] >= edge and self._fresh(rival):
+                cluster.append(heapq.heappop(heap))
+                rival = self._head()
+            for entry in cluster:
+                heapq.heappush(heap, entry)
+            if rival is not None and records[rival][0] >= edge:  # stale in the band
+                self._refresh(rival)
                 continue
-            best, value, _ = records[head]
-            entry = heapq.heappop(self._heap)
-            rival = self._head()
-            heapq.heappush(self._heap, entry)
-            # no other density exceeds rival's bound plus drift, and those
-            # of zeros are 0.0
+            low, pick = -cluster[-1][0], min(iid for _, iid in cluster)
+            zeros = self._zeros & self.pool
+            if zeros and edge <= 0.0:  # the band holds 0.0: the smallest zero joins
+                low, pick, zeros = min(low, 0.0), min(pick, self._first(zeros)), 0
+            # no density outside the cluster exceeds rival's bound plus
+            # drift, and those of zeros outside it are 0.0
             ceiling = max(-math.inf if rival is None else records[rival][0] + drift,
-                          0.0 if self._zeros & self.pool else -math.inf)
-            if ceiling == -math.inf or value_gt(best, ceiling):
-                return head, value
+                          0.0 if zeros else -math.inf)
+            if ceiling == -math.inf or value_gt(low, ceiling):
+                return pick, (self.packed_value if self._bit[pick] & self._zeros
+                              else records[pick][1])
             # no density at all exceeds top
             top = max(best + drift, ceiling)
             first = self._first()
@@ -225,9 +242,11 @@ class DensityQueue:
         self._packs += 1
         self.packed_value = value
 
-    def _first(self) -> str:
-        """The smallest candidate id: the pool's lowest set bit."""
-        return self._instance.ids[(self.pool & -self.pool).bit_length() - 1]
+    def _first(self, mask: int | None = None) -> str:
+        """The id at the mask's lowest set bit, the smallest it names; of the
+        pool by default."""
+        mask = self.pool if mask is None else mask
+        return self._instance.ids[(mask & -mask).bit_length() - 1]
 
     def _evaluate(self, item_id: str) -> tuple[float, float]:
         """Density of item_id on the packed set, and the set's value with it."""

@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (Instance, Item, PackedState, check_capacity, distinct_sizes,
+from .core import (Instance, Item, check_capacity, distinct_sizes,
                    item_masks, sorted_ids, value_gt)
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
                      first_items, greedy_sequence)
@@ -125,7 +125,8 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
     Most items are ruled out without building the order, from its first
     item a and a's value alone v (first_items).  An item that is a itself
     does not overflow, since a always fits.  Otherwise a is in P.  Let g be
-    the item's gain on {a} and D = gain_drift(n):
+    the item's gain on {a}, valued from a packed state of {a} built for the
+    call (one OR for a fold oracle), and D = gain_drift(n):
     - the gain on P, as the order computes it, exceeds g by at most
       gain_drift(|P| - 1) <= D (submodularity, up to rounding);
     - f(P) >= v - D: for fold oracles because a float sum of nonnegative
@@ -145,20 +146,13 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
     if first == it.id:
         return IndispensabilityResult(False, frozenset())
     drift = instance.oracle.gain_drift(instance.n)
-    g = _first_state(instance, first).value_with(it.id) - v
+    g = instance.oracle.packed_state((first,)).value_with(it.id) - v
     if not value_gt(g + drift, v - drift):
         return IndispensabilityResult(False, frozenset())
     run = greedy_sequence(instance, it.size)
     if run.k >= 1 and run.overflow_item == it.id and _override_item(run):
         return IndispensabilityResult(True, run.fitting_prefix)
     return IndispensabilityResult(False, frozenset())
-
-
-def _first_state(instance: Instance, first: str) -> PackedState:
-    """The packed state of {first}, one per instance and first pick
-    (("first_state", first)): never packed, so threads may share it."""
-    return instance.cached(("first_state", first),
-                           lambda: instance.oracle.packed_state((first,)))
 
 
 def indispensability_interval(instance: Instance, item) -> IndispensabilityInterval | None:

@@ -4,14 +4,14 @@ import bisect
 import math
 import random
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from operator import add, mul, or_
 
 import numpy as np
 
 from subknap.core import (ConcaveModularOracle, CoverageOracle, Instance, Item,
                           ModularOracle, TableOracle, ValidationReport,
-                          ValueOracle, Violation, _bit_flags, _fold, curvature,
+                          ValueOracle, Violation, _bit_flags, curvature,
                           size_breakpoints, sorted_ids, value_gt, values_close)
 from subknap.exact import MAX_CURVATURE_EXHAUSTIVE, CheckReport, _Recorder
 from subknap.generate import GeneratorSpec
@@ -250,9 +250,11 @@ def reference_pool(instance: Instance, attempts: list[PolicyAttempt]) -> tuple[s
 
 
 class EagerFoldState:
-    """A folded oracle's packed state as core._FoldState was before it
-    folded its prefix table lazily: every pack that covers a new rank
-    refolds the table from that rank at once."""
+    """A folded oracle's packed state with an eagerly kept prefix table:
+    prefix[r] is the left fold of the covered weights below rank r, and
+    every pack that covers a new rank refolds the table from that rank at
+    once.  A candidate's value is the prefix up to its lowest new rank, with
+    the fold continued from there over the covered and the new ranks."""
 
     def __init__(self, oracle, items=()):
         self._oracle = oracle
@@ -267,8 +269,9 @@ class EagerFoldState:
         if not new:
             return self._oracle._finish(self._prefix[-1])
         low = (new & -new).bit_length() - 1
+        flags = _bit_flags((covered | new) >> low)
         return self._oracle._finish(
-            _fold(self._weights, covered | new, self._prefix[low], low))
+            reduce(add, compress(self._weights[low:], flags), self._prefix[low]))
 
     def adds_nothing(self, item_id: str) -> bool:
         return not self._covers[item_id] & ~self._covered

@@ -1,9 +1,9 @@
 """The layer harness, scripts/bench_layers.py: rows measured in this process
 equal direct library calls, its leading row keys are those of the committed
-BENCH_11.json and BENCH_12.json, the planted and lemma rows follow them, and a child
-that cannot time its checkout comes back as a failed row.  The --child entry
-sets RLIMIT_AS on its own process, so these tests only reach it through child
-processes."""
+BENCH_11.json and BENCH_12.json, the planted, lemma and n = 1000/2000
+oblivious rows follow them, and a child that cannot time its checkout comes
+back as a failed row.  The --child entry sets RLIMIT_AS on its own process,
+so these tests only reach it through child processes."""
 
 import hashlib
 import importlib.util
@@ -73,7 +73,10 @@ def test_rows_have_the_keys_of_the_committed_reports():
         {"suite": "oblivious", "kind": "planted", "n": n, "phase": p}
         for n in (100, 300, 500) for p in ("order", "start_list", "policy")] + [
         {"suite": "exhaustive", "kind": kind, "n": n, "phase": "lemma"}
-        for kind in ("modular", "coverage") for n in (8, 10, 16, 22)]
+        for kind in ("modular", "coverage") for n in (8, 10, 16, 22)] + [
+        {"suite": "oblivious", "kind": kind, "n": n, "phase": p}
+        for kind in ("modular", "planted", "coverage") for n in (1000, 2000)
+        for p in ("order", "start_list", "policy")]
     assert [r["n"] for r in bench.rows(quick=True)] == [12] * 2 + [100] * 9 + [8, 12] * 2
 
 

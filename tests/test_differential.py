@@ -205,6 +205,98 @@ def test_select_matches_scan_through_packs_drops_and_discards(instance, data):
         assert queue.pool == pool
 
 
+# tie clusters: select settles a cluster of candidates within half a
+# tolerance of the largest bound from the heap (rule (c)); at every select
+# of a full order it must pick the scan's candidate and float
+
+@st.composite
+def _exact_ties(draw):
+    """Modular on 2-14 items with weights k/10 and sizes 1..10, as gen draws
+    them: many densities tie exactly, or within rounding."""
+    n = draw(st.integers(2, 14))
+    ids = [f"t{k:02d}" for k in range(n)]
+    sizes = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    return Instance(tuple(Item(i, s) for i, s in zip(ids, sizes)),
+                    ModularOracle({i: k / 10 for i, k in zip(ids, weights)}))
+
+
+@st.composite
+def _band_edge_densities(draw):
+    """Modular on 2-10 items whose densities lie below a common top by 0,
+    0.4, 0.6, 1.1 (and 0.5, 0.9, 1.0, 1.5) times TOL times the top's scale,
+    inside, just outside and beyond the band of half a tolerance, and
+    beyond the tolerance itself."""
+    n = draw(st.integers(2, 10))
+    top = draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1000.0]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    offsets = draw(st.lists(st.sampled_from(_BAND_OFFSETS + [0.5, 0.9, 1.0, 1.5]),
+                            min_size=n, max_size=n))
+    return _offset_modular(top, offsets, sizes)
+
+
+#: below the top, in TOL times its scale: inside the band of half a
+#: tolerance, just outside it, and beyond the tolerance
+_BAND_OFFSETS = [0.0, 0.4, 0.6, 1.1]
+
+
+def _offset_modular(top: float, offsets, sizes) -> Instance:
+    ids = [f"t{k:02d}" for k in range(len(offsets))]
+    scale = TOL * max(1.0, top)
+    return Instance(tuple(Item(i, s) for i, s in zip(ids, sizes)),
+                    ModularOracle({i: (top - o * scale) * s
+                                   for i, s, o in zip(ids, sizes, offsets)}))
+
+
+@st.composite
+def _zero_band_coverage(draw):
+    """Coverage on 2-10 items whose gains are 0.0 or within a tolerance of
+    it: zero clusters inside the band, with candidates that add nothing
+    (covering no new element, or nothing at all) among them."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(1, 5))
+    elements = {f"e{k}": draw(st.sampled_from([0.0, 1e-10, 3e-10, 6e-10, 2e-9, 1.0]))
+                for k in range(m)}
+    ids = [f"c{k:02d}" for k in range(n)]
+    covers = {i: draw(st.lists(st.sampled_from(sorted(elements)), max_size=2)) for i in ids}
+    sizes = draw(st.lists(_SIZES, min_size=n, max_size=n))
+    return Instance(tuple(Item(i, s) for i, s in zip(ids, sizes)),
+                    CoverageOracle(elements, covers))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_exact_ties() | _band_edge_densities() | _zero_band_coverage() | _perturbed_table()
+       | _modular_duplicate_ratios(), st.data())
+def test_select_matches_scan_on_tie_clusters(instance, data):
+    # from a drawn packed set, so the bounds start stale, every select of the
+    # order over the rest meets stale members in the band after the packs
+    ids = list(instance.ids)
+    bit = item_masks(instance)[0]
+    packed = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=2))
+    queue = DensityQueue(instance, sum(bit[i] for i in ids if i not in packed), packed,
+                         instance.oracle._value(frozenset(packed)))
+    _assert_selects_match_scans(queue)
+
+
+def _assert_selects_match_scans(queue: DensityQueue) -> None:
+    while queue:
+        want = queue.scan()
+        got = queue.select()
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+        queue.pack(*got)
+
+
+@pytest.mark.parametrize("top", [0.5, 1.0, 1000.0])
+def test_select_matches_scan_at_every_band_offset_in_every_id_order(top):
+    # every assignment of the band offsets to four ascending ids: a member
+    # of the band whose id is smaller than the top's, with a rival beyond
+    # the tolerance of that member but not of the top, must go to the scan
+    for offsets in itertools.product(_BAND_OFFSETS, repeat=4):
+        instance = _offset_modular(top, offsets, [1] * 4)
+        _assert_selects_match_scans(DensityQueue(instance, 0b1111))
+
+
 def test_coverage_n100_every_eligible_threshold():
     instance = generate_instance(
         GeneratorSpec("coverage", n=100, size_max=100, seed=0))
@@ -801,10 +893,10 @@ def test_node_pools_match_the_pools_attempts_leave(kind, size_max, seed):
 
 
 # ---------------------------------------------------------------------------
-# a fold state folds its prefix table only when a value needs it; every
-# float must be the one a state that refolded at every pack gives, and a
-# queue values a candidate that adds nothing at its packed value, which must
-# be value_with's float
+# a fold state keeps only its covered mask and folds every value from rank
+# 0; every float must be the one a state with an eager prefix table gives,
+# and a queue values a candidate that adds nothing at its packed value,
+# which must be value_with's float
 
 @settings(max_examples=200, deadline=None)
 @given(_folded_oracle() | _saturating_coverage() | _zero_gain_coverage(), st.data())
