@@ -440,6 +440,9 @@ class TableOracle(ValueOracle):
                 raise ConfigurationError(f"duplicate table key for subset {sorted(ids)}")
             table[ids] = _check_finite(v, f"table value for subset {sorted(ids)}")
         domain = frozenset().union(*table.keys()) if table else frozenset()
+        commas = sorted(iid for iid in domain if "," in iid)
+        if commas:  # keys join ids with commas (to_dict, restrict)
+            raise ConfigurationError(f"table item id {commas[0]!r} must not contain ','")
         if len(domain) > self.MAX_ITEMS:
             raise ConfigurationError(
                 f"table oracle limited to {self.MAX_ITEMS} items, got {len(domain)}")

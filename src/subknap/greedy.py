@@ -107,31 +107,29 @@ class DensityQueue:
 
     The scan's tie rule is not transitive, so a lazy winner is accepted only
     where it provably equals the scan's.  The cluster is the freshly
-    evaluated heads whose bounds lie within half a tolerance of the largest,
-    with the smallest candidate that adds nothing if 0.0 lies in that band
-    too; stale heads in the band are refreshed first.  No two members beat
-    one another.  (c) If every other bound plus the drift, and 0.0 if a
-    candidate outside the cluster adds nothing, lies beyond the tolerance
-    below the cluster's smallest density, every member beats every other
-    candidate, so the scan picks the cluster's smallest id; a cluster of one
-    is the plain case.  Otherwise (b) no candidate can beat the freshly
-    evaluated smallest id, which the scan starts from and then keeps.  Where
-    every candidate adds nothing, the scan keeps the smallest id.  Otherwise
-    the scan itself decides.  Both compute densities with _evaluate, so
-    equal choices give equal floats.
+    evaluated heads whose bounds lie within half a tolerance of the largest;
+    stale heads in that band are refreshed first.  No two members beat one
+    another.  (c) If every other bound plus the drift, and 0.0 if a
+    candidate adds nothing, lies beyond the tolerance below the cluster's
+    smallest density, every member beats every other candidate, so the scan
+    picks the cluster's smallest id; a cluster of one is the plain case.
+    Where every candidate adds nothing, the scan keeps the smallest id.
+    Whatever else (c) does not settle, the scan itself decides; on generated
+    input that is rare (see README).  Both compute densities with _evaluate,
+    so equal choices give equal floats.
 
-    select values a candidate that adds nothing at packed_value, with no
-    call to the state, and that is the float value_with (and so the scan)
-    gives.  Such a candidate exists only for a fold state, whose adds_nothing
-    says that the item covers no rank outside the packed set's mask; then
-    value_with returns _finish of the fold of the covered weights, which is
-    _value's float of the packed set (core._FoldState).  packed_value is that
-    value by this queue's contract: given as the value of the packed set,
-    and after each pack the value that pack was given, which greedy and the
-    policy take from value_with or select.  Where nothing is packed it is
-    0.0 and the candidate covers nothing at all, so value_with gives
-    _finish(0.0): 0.0 for coverage and modular oracles, and 0.0 ** e = 0.0
-    for a concave exponent e in (0, 1].
+    Where every candidate adds nothing, select values the smallest at
+    packed_value, with no call to the state, and that is the float
+    value_with (and so the scan) gives.  Such a candidate exists only for a
+    fold state, whose adds_nothing says that the item covers no rank outside
+    the packed set's mask; then value_with returns _finish of the fold of
+    the covered weights, which is _value's float of the packed set
+    (core._FoldState).  packed_value is that value by this queue's contract:
+    given as the value of the packed set, and after each pack the value that
+    pack was given, which greedy and the policy take from value_with or
+    select.  Where nothing is packed it is 0.0 and the candidate covers
+    nothing at all, so value_with gives _finish(0.0): 0.0 for coverage and
+    modular oracles, and 0.0 ** e = 0.0 for a concave exponent e in (0, 1].
     """
 
     def __init__(self, instance: Instance, pool: int,
@@ -208,30 +206,14 @@ class DensityQueue:
             if rival is not None and records[rival][0] >= edge:  # stale in the band
                 self._refresh(rival)
                 continue
-            low, pick = -cluster[-1][0], min(iid for _, iid in cluster)
-            zeros = self._zeros & self.pool
-            if zeros and edge <= 0.0:  # the band holds 0.0: the smallest zero joins
-                low, pick, zeros = min(low, 0.0), min(pick, self._first(zeros)), 0
             # no density outside the cluster exceeds rival's bound plus
-            # drift, and those of zeros outside it are 0.0
+            # drift, and those of zeros are 0.0
             ceiling = max(-math.inf if rival is None else records[rival][0] + drift,
-                          0.0 if zeros else -math.inf)
-            if ceiling == -math.inf or value_gt(low, ceiling):
-                return pick, (self.packed_value if self._bit[pick] & self._zeros
-                              else records[pick][1])
-            # no density at all exceeds top
-            top = max(best + drift, ceiling)
-            first = self._first()
-            if self._bit[first] & self._zeros:
-                if not value_gt(top, 0.0):
-                    return first, self.packed_value
-            elif self._fresh(first) and not value_gt(top, records[first][0]):
-                return first, records[first][1]
-            stale = next((i for i in (rival, first)
-                          if i is not None and not self._fresh(i)), None)
-            if stale is None:
-                return self.scan()
-            self._refresh(stale)
+                          0.0 if self._zeros & self.pool else -math.inf)
+            if ceiling == -math.inf or value_gt(-cluster[-1][0], ceiling):
+                pick = min(iid for _, iid in cluster)
+                return pick, records[pick][1]
+            return self.scan()
 
     def pack(self, item_id: str, value: float) -> None:
         """Add an item to the packed set, whose value becomes value; it
@@ -242,11 +224,9 @@ class DensityQueue:
         self._packs += 1
         self.packed_value = value
 
-    def _first(self, mask: int | None = None) -> str:
-        """The id at the mask's lowest set bit, the smallest it names; of the
-        pool by default."""
-        mask = self.pool if mask is None else mask
-        return self._instance.ids[(mask & -mask).bit_length() - 1]
+    def _first(self) -> str:
+        """The smallest id in the pool, at its lowest set bit."""
+        return self._instance.ids[(self.pool & -self.pool).bit_length() - 1]
 
     def _evaluate(self, item_id: str) -> tuple[float, float]:
         """Density of item_id on the packed set, and the set's value with it."""
@@ -254,7 +234,7 @@ class DensityQueue:
         return (v - self.packed_value) / self._instance.size(item_id), v
 
     def _fresh(self, item_id: str) -> bool:
-        return bool(self._bit[item_id] & self._zeros) or self._records[item_id][2] == self._packs
+        return self._records[item_id][2] == self._packs
 
     def _head(self) -> str | None:
         """Candidate with the largest bound, ties by ascending id; entries of

@@ -86,6 +86,29 @@ def test_table_oracle_rejects_missing_subsets():
         make_table_oracle({"": 0.0, "a": 1.0, "b": 1.0})  # missing "a,b"
 
 
+def _modular_table(weights: dict[str, float]) -> dict[frozenset[str], float]:
+    """A table keyed by id sets, which can name ids that hold a comma."""
+    ids = sorted(weights)
+    return {frozenset(i for k, i in enumerate(ids) if m >> k & 1):
+            sum(weights[i] for k, i in enumerate(ids) if m >> k & 1)
+            for m in range(1 << len(ids))}
+
+
+def test_table_oracle_refuses_an_id_with_a_comma():
+    # saved as "a,b,c", the full set would read as three ids
+    with pytest.raises(ConfigurationError, match=r"table item id 'a,b' must not contain ','"):
+        TableOracle(_modular_table({"a,b": 1.0, "c": 2.0}))
+
+
+def test_normalizing_a_table_with_a_comma_id_names_the_id():
+    # the zero item would make normalisation restrict the table, which
+    # joins and parses its keys again
+    items = (Item("a,b", 1), Item("c", 1), Item("z", 1))
+    with pytest.raises(ConfigurationError, match="'a,b'"):
+        normalize_instance(Instance(items, TableOracle(
+            _modular_table({"a,b": 1.0, "c": 2.0, "z": 0.0}))))
+
+
 def test_evaluate_function_and_unknown_id():
     inst = ex1()
     assert evaluate(inst.oracle, {"b"}) == 1.9

@@ -86,7 +86,7 @@ def test_fresh_opt_builds_its_table_without_evaluate(monkeypatch):
         assert calls == Counter(), kind
 
 
-def test_sampled_lemma_reads_the_table_and_leaves_the_memo(monkeypatch):
+def test_sampled_lemma_reads_only_the_table(monkeypatch):
     inst = generate_instance(GeneratorSpec("coverage", n=13, seed=0))
     curvature(inst)
     calls = _count_values(monkeypatch, CoverageOracle)

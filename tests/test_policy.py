@@ -260,8 +260,8 @@ def test_oracle_calls_stay_under_ceiling(monkeypatch):
 
 #: DensityQueue.scan calls (full fallback scans of DensityQueue.select) in
 #: one greedy order over every item of generated coverage n=500 seed 0: 0
-#: measured.  There the gain drift exceeds the tolerance, so rules (c) and
-#: (b) settle nothing among the saturated candidates, whose gain is 0.0; it
+#: measured.  There the gain drift exceeds the tolerance, so rule (c)
+#: settles nothing among the saturated candidates, whose gain is 0.0; it
 #: made 493 scans while they stayed in the heap, and makes none now that
 #: they leave it for good (DensityQueue._zeros).
 FALLBACK_SCAN_CEILING = 0
@@ -275,20 +275,25 @@ FALLBACK_SCAN_CEILING = 0
 MODULAR_FALLBACK_SCAN_CEILING = 0
 
 
-def _count_scans_of_one_full_order(monkeypatch, kind: str, n: int) -> int:
-    scans = 0
+def _count_scans(monkeypatch) -> list[int]:
+    """Counts DensityQueue.scan calls from now on into the returned cell."""
+    scans = [0]
     scan = DensityQueue.scan
 
     def counting(self):
-        nonlocal scans
-        scans += 1
+        scans[0] += 1
         return scan(self)
 
     monkeypatch.setattr(DensityQueue, "scan", counting)
+    return scans
+
+
+def _count_scans_of_one_full_order(monkeypatch, kind: str, n: int) -> int:
+    scans = _count_scans(monkeypatch)
     inst = generate_instance(GeneratorSpec(kind, n=n, seed=0))
     run = greedy.greedy_sequence(inst, max(it.size for it in inst.items))
     assert len(run.order) == n
-    return scans
+    return scans[0]
 
 
 def test_fallback_scans_of_one_n500_order_stay_under_ceiling(monkeypatch):
@@ -306,6 +311,24 @@ def test_fallback_scans_of_one_planted_or_concave_n300_order_stay_under_ceiling(
         monkeypatch, kind):
     assert _count_scans_of_one_full_order(monkeypatch, kind, 300) \
         <= MODULAR_FALLBACK_SCAN_CEILING
+
+
+#: The same for the start list, then the policy and agreedy at each capacity
+#: of the 200-capacity grid, of generated n=300 seed 0 of every kind: 0
+#: measured each, so the tie cluster (rule (c)) settles every select there
+GRID_FALLBACK_SCAN_CEILING = 0
+
+
+@pytest.mark.parametrize("kind", ["modular", "coverage", "planted", "concave_modular"])
+def test_fallback_scans_of_the_n300_capacity_grid_stay_under_ceiling(monkeypatch, kind):
+    scans = _count_scans(monkeypatch)
+    inst = generate_instance(GeneratorSpec(kind, n=300, seed=0))
+    total = sum(it.size for it in inst.items)
+    start_item_list(inst)
+    for gamma in sorted({max(1, round(k * total / 200)) for k in range(1, 201)}):
+        execute_policy(inst, make_fit_oracle(gamma))
+        agreedy(inst, gamma)
+    assert scans[0] <= GRID_FALLBACK_SCAN_CEILING
 
 
 #: CoverageOracle._value calls for the start list plus policy, agreedy and
