@@ -14,9 +14,8 @@ from .exact import (CheckReport, GuardError, SweepReport,
 from .generate import GenerationError, GeneratorSpec, generate_instance
 from .greedy import (GreedyRun, Solution, agreedy, agreedy_override,
                      greedy_sequence, mgreedy)
-from .policy import (FitOracle, IndispensabilityInterval,
-                     IndispensabilityResult, PolicyTrace, StartEntry, StartList,
-                     execute_policy, indispensability_interval,
+from .policy import (FitOracle, IndispensabilityInterval, IndispensabilityResult,
+                     PolicyTrace, StartEntry, execute_policy, indispensability_interval,
                      is_indispensable, make_fit_oracle, start_item_list)
 
 __version__ = "0.1.0"
@@ -27,7 +26,7 @@ __all__ = [
     "GreedyRun", "GuardError", "IndispensabilityInterval",
     "IndispensabilityResult", "Instance", "Item", "KAWASE_DETERMINISTIC",
     "MODULAR_OPTIMUM", "OracleValidationError", "PolicyTrace", "Solution",
-    "StartEntry", "StartList", "SweepReport", "SweepRow", "TOL",
+    "StartEntry", "SweepReport", "SweepRow", "TOL",
     "ValidationReport", "ValueOracle", "agreedy", "agreedy_override", "alpha",
     "bound_table", "breakpoints", "brute_force_opt", "check_curvature_lemma",
     "check_indispensable_properties", "check_lemma2", "check_theorem6",

@@ -441,7 +441,7 @@ class TableOracle(ValueOracle):
             table[ids] = _check_finite(v, f"table value for subset {sorted(ids)}")
         domain = frozenset().union(*table.keys()) if table else frozenset()
         commas = sorted(iid for iid in domain if "," in iid)
-        if commas:  # keys join ids with commas (to_dict, restrict)
+        if commas:  # to_dict joins a key's ids with commas
             raise ConfigurationError(f"table item id {commas[0]!r} must not contain ','")
         if len(domain) > self.MAX_ITEMS:
             raise ConfigurationError(
@@ -471,8 +471,7 @@ class TableOracle(ValueOracle):
 
     def restrict(self, ids: Iterable[str]) -> "TableOracle":
         keep = frozenset(ids)
-        kept = {",".join(sorted(s)): v for s, v in self._table.items() if s <= keep}
-        return TableOracle(kept)
+        return TableOracle({s: v for s, v in self._table.items() if s <= keep})
 
     def gain_drift(self, steps: int) -> float:
         # a gain may grow by each violation validation accepts, once with

@@ -35,8 +35,7 @@ from .core import (MAX_EXHAUSTIVE_ITEMS, GuardError, Instance, TOL,  # noqa: F40
                    value_ge, value_ge_array, value_gt, values_close)
 from .greedy import Solution, agreedy, agreedy_override, greedy_sequence, mgreedy
 from .policy import (REASON_INDISPENSABLE, _head_change, execute_policy,
-                     indispensability_interval, is_indispensable, make_fit_oracle,
-                     start_item_list)
+                     indispensability_interval, make_fit_oracle, start_item_list)
 
 MAX_CURVATURE_EXHAUSTIVE = 8
 MAX_LEMMA_TRIALS = 10 ** 5
@@ -610,7 +609,7 @@ def _running_min(values: np.ndarray) -> float:
 
 def check_indispensable_properties(instance: Instance) -> CheckReport:
     """Structural checks on every indispensable item, read from the start
-    list, which holds them all in (size, id) order.
+    list, which holds them all in (size, id) order with their prefixes.
 
     For each flagged item: the replay prefix is nonempty and strictly smaller
     than the item; agreedy returns the item exactly on the computed capacity
@@ -627,13 +626,12 @@ def check_indispensable_properties(instance: Instance) -> CheckReport:
         if entry.reason != REASON_INDISPENSABLE:
             continue
         it = instance.item(entry.item_id)
-        res = is_indispensable(instance, it)
         flagged += 1
-        prefix_size = instance.total_size(res.greedy_prefix)
+        prefix_size = instance.total_size(entry.greedy_prefix)
         rec.check(
             lambda: f"{it.id}: nonempty prefix with s(item) > s(prefix) "
                     f"({it.size} > {prefix_size})",
-            len(res.greedy_prefix) >= 1 and it.size > prefix_size)
+            len(entry.greedy_prefix) >= 1 and it.size > prefix_size)
 
         interval = indispensability_interval(instance, it)
         rec.check(lambda: f"{it.id}: interval starts at the item size",

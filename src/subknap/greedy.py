@@ -292,10 +292,10 @@ def greedy_sequence(instance: Instance, gamma: int) -> GreedyRun:
     )
 
 
-def first_items(instance: Instance) -> dict[int, tuple[str, float]]:
-    """For each distinct item size t, the first item of the greedy order at
-    threshold t and its value alone: greedy_sequence(instance, t).order[0]
-    and .values[0].  Once per instance ("first_items").
+def first_items(instance: Instance) -> dict[int, str]:
+    """For each distinct item size t, the id of the first item of the greedy
+    order at threshold t: greedy_sequence(instance, t).order[0], whose
+    .values[0] is the item's singleton.  Once per instance ("first_items").
 
     One DensityQueue over every item, which never packs, so every record
     stays fresh and no candidate is re-evaluated.  Walking the sizes from
@@ -304,12 +304,12 @@ def first_items(instance: Instance) -> dict[int, tuple[str, float]]:
     narrows its pool to the items below t.  Building it refuses an invalid
     table.
     """
-    def build() -> dict[int, tuple[str, float]]:
+    def build() -> dict[int, str]:
         below = item_masks(instance)[1]
         queue = DensityQueue(instance, (1 << instance.n) - 1)
         firsts = {}
         for t in reversed(distinct_sizes(instance)):
-            firsts[t] = queue.select()
+            firsts[t] = queue.select()[0]
             queue.pool &= below[t]
         return firsts
     return instance.cached("first_items", build)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (Instance, Item, check_capacity, distinct_sizes,
-                   item_masks, sorted_ids, value_gt)
+                   item_masks, singletons, sorted_ids, value_gt)
 from .greedy import (DensityQueue, GreedyRun, Solution, _override_item,
                      first_items, greedy_sequence)
 
@@ -44,19 +44,16 @@ class IndispensabilityInterval:
 
 @dataclass(frozen=True)
 class StartEntry:
+    """A start item and the greedy prefix it replays once it fits, in greedy
+    order: greedy_sequence(instance, size).order[:k] for an indispensable
+    item, which has k >= 1, and () for an item that leads its own order."""
+
     item_id: str
-    reason: str  # REASON_INDISPENSABLE | REASON_FIRST_GREEDY
+    greedy_prefix: tuple[str, ...]
 
-
-@dataclass(frozen=True)
-class StartList:
-    entries: tuple[StartEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+    @property
+    def reason(self) -> str:
+        return REASON_INDISPENSABLE if self.greedy_prefix else REASON_FIRST_GREEDY
 
 
 class FitOracle:
@@ -118,15 +115,16 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
 
     True iff the item is the first to overflow that capacity in the greedy
     order, at position two or later, and its marginal on the packed prefix P
-    strictly exceeds f(P).  The returned prefix is P, for
-    `check_indispensable_properties` and callers; `execute_policy` takes its
-    ordered prefix from `greedy_sequence` instead.
+    strictly exceeds f(P).  The returned prefix is P as a set; the item's
+    start entry (start_item_list) keeps it in greedy order, and the policy
+    and check_indispensable_properties read it there.
 
     Most items are ruled out without building the order, from its first
-    item a and a's value alone v (first_items).  An item that is a itself
-    does not overflow, since a always fits.  Otherwise a is in P.  Let g be
-    the item's gain on {a}, valued from a packed state of {a} built for the
-    call (one OR for a fold oracle), and D = gain_drift(n):
+    item a (first_items) and a's value alone v (core.singletons).  An item
+    that is a itself does not overflow, since a always fits.  Otherwise a
+    is in P.  Let g be the item's gain on {a}, valued from a packed state
+    of {a} built for the call (one OR for a fold oracle), and D =
+    gain_drift(n):
     - the gain on P, as the order computes it, exceeds g by at most
       gain_drift(|P| - 1) <= D (submodularity, up to rounding);
     - f(P) >= v - D: for fold oracles because a float sum of nonnegative
@@ -142,9 +140,10 @@ def is_indispensable(instance: Instance, item) -> IndispensabilityResult:
     and the full check decides.
     """
     it = _resolve(instance, item)
-    first, v = first_items(instance)[it.size]
+    first = first_items(instance)[it.size]
     if first == it.id:
         return IndispensabilityResult(False, frozenset())
+    v = singletons(instance)[first]
     drift = instance.oracle.gain_drift(instance.n)
     g = instance.oracle.packed_state((first,)).value_with(it.id) - v
     if not value_gt(g + drift, v - drift):
@@ -168,14 +167,13 @@ def indispensability_interval(instance: Instance, item) -> IndispensabilityInter
         return None
     run = greedy_sequence(instance, it.size)
     fits_with_prefix = run.prefix_sizes[run.k]  # s(prefix) + s(item)
-    change = _head_change(instance, run, fits_with_prefix)
-    return IndispensabilityInterval(it.size, change or fits_with_prefix)
+    change = _head_change(instance, run)
+    return IndispensabilityInterval(it.size, min(change or fits_with_prefix, fits_with_prefix))
 
 
-def _head_change(instance: Instance, run: GreedyRun,
-                 below: int | None = None) -> int | None:
-    """First capacity above run.capacity (and below `below`) at which the
-    first k+1 items of the greedy order change, or None.
+def _head_change(instance: Instance, run: GreedyRun) -> int | None:
+    """First capacity above run.capacity at which the first k+1 items of the
+    greedy order change, or None.
 
     An order depends on the capacity only through the largest eligible item
     size, so the head can change only at a capacity equal to an item size.
@@ -188,32 +186,32 @@ def _head_change(instance: Instance, run: GreedyRun,
     head = run.order[:run.k + 1]
     sizes = distinct_sizes(instance)
     for size in sizes[bisect.bisect_right(sizes, run.capacity):]:
-        if below is not None and size >= below:
-            break
         if greedy_sequence(instance, size).order[:run.k + 1] != head:
             return size
     return None
 
 
-def start_item_list(instance: Instance) -> StartList:
-    """Seed items for the policy, ordered by size, then id.
+def start_item_list(instance: Instance) -> tuple[StartEntry, ...]:
+    """Seed items for the policy, ordered by size, then id (StartEntry).
 
-    Every item is tested at the capacity equal to its own size: indispensable
-    items always join the list; an item that leads its own greedy order joins
-    only once the list is nonempty, so the smallest indispensable item is
-    always the first entry.  Entries of equal size can occur: an item that
-    leads its own order on a density tie within tolerance, and one of the
-    same size whose marginal beats its value, are both on the list.  The
-    list is built once per instance ("start_list").
+    Every item is judged once, at the capacity equal to its own size:
+    indispensable items always join the list, with the prefix of the run
+    is_indispensable has just read; an item that leads its own greedy order
+    joins, with no prefix, only once the list is nonempty, so the smallest
+    indispensable item is always the first entry.  Entries of equal size
+    can occur: an item that leads its own order on a density tie within
+    tolerance, and one of the same size whose marginal beats its value, are
+    both on the list.  The list is built once per instance ("start_list").
     """
-    def build() -> StartList:
+    def build() -> tuple[StartEntry, ...]:
         entries: list[StartEntry] = []
         for it in sorted(instance.items, key=lambda it: (it.size, it.id)):
             if is_indispensable(instance, it).indispensable:
-                entries.append(StartEntry(it.id, REASON_INDISPENSABLE))
-            elif entries and first_items(instance)[it.size][0] == it.id:
-                entries.append(StartEntry(it.id, REASON_FIRST_GREEDY))
-        return StartList(tuple(entries))
+                run = greedy_sequence(instance, it.size)
+                entries.append(StartEntry(it.id, run.order[:run.k]))
+            elif entries and first_items(instance)[it.size] == it.id:
+                entries.append(StartEntry(it.id, ()))
+        return tuple(entries)
     return instance.cached("start_list", build)
 
 
@@ -235,9 +233,10 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     node is one history of answers and holds its pool as a bitmask over
     instance.ids, which _decision alone derives, from the item bits and the
     masks of smaller items that greedy shares (core.item_masks, "masks").
-    It also holds its script, the items of steps 1 and 2 left to try after
-    that history, with their phases: the root's, built with the tree, is
-    the start list from the largest item, and _decision hands on the rest.
+    It also holds its script, what steps 1 and 2 have left to try after
+    that history: the root's, built with the tree, is the start list from
+    the largest entry, and _decision hands on the rest, or, where a start
+    item fits, the greedy prefix its entry carries, as item ids.
     Its decision, once made, holds the item tried next with its size, the
     packed value if it fits, the attempts recorded after a miss and after a
     fit (one pair per item and phase on the instance, shared by every
@@ -260,8 +259,8 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
     tree: a decision is published in one assignment, with its children's
     scripts set, and every writer of a node stores an equal one.
     """
-    node = instance.cached("policy_tree", lambda: _Node((1 << instance.n) - 1, tuple(
-        (e.item_id, PHASE_START_ITEM) for e in reversed(start_item_list(instance).entries))))
+    node = instance.cached("policy_tree", lambda: _Node(
+        (1 << instance.n) - 1, tuple(reversed(start_item_list(instance)))))
     attempts: list[PolicyAttempt] = []
     queue = None
     packed_size = 0
@@ -273,7 +272,9 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
                 queue = DensityQueue(instance, node.pool,
                                      (a.item_id for a in attempts if a.fitted), packed_value)
             if node.script:
-                item_id, phase = node.script[0]
+                step = node.script[0]  # a start entry in step 1, an item id in step 2
+                item_id, phase = ((step, PHASE_GREEDY_PREFIX) if isinstance(step, str)
+                                  else (step.item_id, PHASE_START_ITEM))
                 decision = _decision(instance, node, item_id, queue.value_with(item_id), phase)
             elif queue:
                 decision = _decision(instance, node, *queue.select(), PHASE_MAIN_GREEDY)
@@ -304,13 +305,14 @@ def execute_policy(instance: Instance, oracle: FitOracle) -> PolicyTrace:
 class _Node:
     """One fit-answer history of the policy on an instance: the pool it
     leaves, as a bitmask over instance.ids (bit i set means ids[i] is in
-    it), the script of steps 1 and 2 still left after it, as (item id,
-    phase) pairs in the order runs try them, and its decision, None until a
-    run has made it (see execute_policy)."""
+    it), the script of steps 1 and 2 still left after it, in the order runs
+    try it (start entries in step 1, the ids of the fitted start item's
+    greedy prefix in step 2), and its decision, None until a run has made
+    it (see execute_policy)."""
 
     __slots__ = ("decision", "pool", "script")
 
-    def __init__(self, pool: int, script: tuple[tuple[str, str], ...]) -> None:
+    def __init__(self, pool: int, script: tuple[StartEntry | str, ...]) -> None:
         self.decision: _Decision | tuple | None = None
         self.pool = pool
         self.script = script
@@ -333,19 +335,15 @@ def _decision(instance: Instance, node: _Node, item_id: str, value: float,
     """node's decision to try item_id in phase: a fit packs the item and a
     step-2 miss drops it from the pool, a step-1 or step-3 miss keeps only
     the smaller items.  The children keep the rest of node's script, but a
-    fitted start item's child gets its greedy prefix if it is indispensable
-    and nothing otherwise.  Its attempt records are one pair per instance,
+    fitted start item's child gets the greedy prefix of its entry, the
+    script's first step.  Its attempt records are one pair per instance,
     phase and item (("policy_attempts", phase))."""
     bit, below = item_masks(instance)
     size = instance.size(item_id)
     fit = node.pool & ~bit[item_id]
     miss = fit if phase == PHASE_GREEDY_PREFIX else node.pool & below[size]
-    rest = fitted = node.script[1:]
-    if phase == PHASE_START_ITEM:  # indispensable unless it leads its own order
-        fitted = ()
-        if first_items(instance)[size][0] != item_id:
-            run = greedy_sequence(instance, size)
-            fitted = tuple((iid, PHASE_GREEDY_PREFIX) for iid in run.order[:run.k])
+    rest = node.script[1:]
+    fitted = node.script[0].greedy_prefix if phase == PHASE_START_ITEM else rest
     pairs = instance.cached(("policy_attempts", phase), dict)
     records = pairs.get(item_id)
     if records is None:  # threads that build one together keep the first stored

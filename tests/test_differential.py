@@ -22,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (EagerFoldState, density_tie_start_list, left_sum, memo_values,
+from helpers import (EagerFoldState, density_tie_start_list, ex1, ex1_extended,
+                     left_sum, memo_values,
                      reference_curvature_lemma, reference_pool,
                      reference_greedy, reference_interval, reference_lemma_draws,
                      reference_opt,
@@ -35,7 +36,7 @@ from subknap.core import (TOL, ConcaveModularOracle, CoverageOracle, Instance,
                           Item, ModularOracle, OracleValidationError, TableOracle,
                           ValueOracle, check_oracle, instance_from_dict,
                           instance_to_dict, item_masks, normalize_instance,
-                          subset_table, validate_oracle)
+                          singletons, subset_table, validate_oracle)
 from subknap.exact import breakpoints, brute_force_opt, check_curvature_lemma
 from subknap.generate import KINDS
 from subknap.generate import GeneratorSpec, generate_instance
@@ -90,7 +91,7 @@ def test_planted_n100_matches_reference():
     # past the exhaustive guard with a nonempty start list: steps 1 and 2 run
     instance = generate_instance(
         GeneratorSpec("planted", n=100, size_max=100, seed=0))
-    assert start_item_list(instance).entries
+    assert start_item_list(instance)
     total = sum(it.size for it in instance.items)
     _assert_matches_reference(
         instance, sorted({round(k * total / 20) for k in range(1, 21)}))
@@ -386,7 +387,8 @@ def _assert_first_items_match_orders(instance) -> None:
     assert sorted(firsts) == sorted({it.size for it in instance.items})
     for size, first in firsts.items():
         run = greedy_sequence(instance, size)
-        assert first == (run.order[0], run.values[0]), size
+        assert first == run.order[0], size
+        assert singletons(instance)[first].hex() == run.values[0].hex(), size
 
 
 def test_corpus_first_items_match_orders(corpus):
@@ -482,6 +484,43 @@ def test_first_items_and_start_lists_refuse_invalid_tables():
                      lambda instance: is_indispensable(instance, "b")):
             with pytest.raises(OracleValidationError):
                 call(Instance(items, oracle))
+
+
+# ---------------------------------------------------------------------------
+# a start entry carries the greedy prefix its item replays once it fits: the
+# fitting prefix of the order at its size, which is_indispensable returns as
+# a set, and only an indispensable item carries one
+
+def _assert_start_entries_carry_their_prefixes(instance) -> None:
+    entries = start_item_list(instance)
+    for entry in entries:
+        res = is_indispensable(instance, entry.item_id)
+        run = greedy_sequence(instance, instance.size(entry.item_id))
+        assert entry.greedy_prefix == (run.order[:run.k] if res.indispensable else ()), entry
+        assert frozenset(entry.greedy_prefix) == res.greedy_prefix, entry
+    assert {e.item_id for e in entries if e.reason == "indispensable"} \
+        == {it.id for it in instance.items if is_indispensable(instance, it).indispensable}
+
+
+def test_corpus_start_entries_carry_their_prefixes(corpus):
+    longest = 0  # 3 items at seed 0: orders that a set of the prefix would not show
+    for _, instance in corpus:
+        _assert_start_entries_carry_their_prefixes(instance)
+        longest = max([longest, *(len(e.greedy_prefix) for e in start_item_list(instance))])
+    assert longest >= 2
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planted_start_entries_carry_their_prefixes(n, seed):
+    instance = generate_instance(GeneratorSpec("planted", n=n, seed=seed))
+    assert start_item_list(instance)
+    _assert_start_entries_carry_their_prefixes(instance)
+
+
+def test_fixture_start_entries_carry_their_prefixes():
+    for instance in (ex1(), ex1_extended(), density_tie_start_list()):
+        _assert_start_entries_carry_their_prefixes(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -722,26 +761,30 @@ def _assert_shared_choices_match_cold(instance, seed: int = 0) -> None:
             == execute_policy(cold, fit(gamma)).to_dict(), (fit, gamma)
 
 
+@pytest.mark.shared_state
 def test_corpus_shared_choices_match_cold(corpus):
     for _, instance in corpus:
         _assert_shared_choices_match_cold(instance)
 
 
+@pytest.mark.shared_state
 @pytest.mark.parametrize("seed", [0, 1])
 def test_coverage_n100_shared_choices_match_cold(seed):
     _assert_shared_choices_match_cold(
         generate_instance(GeneratorSpec("coverage", n=100, seed=seed)), seed)
 
 
+@pytest.mark.shared_state
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_planted_n100_shared_choices_match_cold(seed):
     # each has one indispensable start item, so runs walk kept decisions of
     # steps 1 and 2 and may first miss inside them
     instance = generate_instance(GeneratorSpec("planted", n=100, seed=seed))
-    assert start_item_list(instance).entries
+    assert start_item_list(instance)
     _assert_shared_choices_match_cold(instance, seed)
 
 
+@pytest.mark.shared_state
 def test_table_shared_choices_match_cold():
     for weights, pair in [({"a": 0.5, "b": 0.5 + 1.5 * TOL, "c": 1.0}, "ac"),
                           ({"a": 0.5, "b": 0.5 + 0.8 * TOL, "c": 0.5 + 0.5 * TOL,
@@ -750,6 +793,7 @@ def test_table_shared_choices_match_cold():
     _assert_shared_choices_match_cold(_tie_chain_table(7))
 
 
+@pytest.mark.shared_state
 @pytest.mark.parametrize("kind", ["coverage", "planted"])
 def test_threads_sharing_the_policy_tree_match_cold(kind):
     # four threads grow one instance's tree at once, each over its own
@@ -789,6 +833,7 @@ def test_threads_sharing_the_policy_tree_match_cold(kind):
             assert trace == want[run], run
 
 
+@pytest.mark.shared_state
 def test_concurrent_first_callers_build_the_start_list_once(monkeypatch):
     # four threads run the policy on a fresh instance at once, switching
     # every microsecond; a cache miss builds under the instance's lock, so
@@ -833,6 +878,7 @@ class _FlippedFit(FitOracle):
         return super().fits(candidate_total_size) != (self.query_count in self._flips)
 
 
+@pytest.mark.shared_state
 def test_flipped_runs_may_try_items_a_miss_took_from_the_pool():
     # c and b share a size on the start list, so after c misses, b is tried
     # although c's miss took it from the pool; a flipped answer then packs
@@ -869,6 +915,7 @@ def _decided_pools(instance):
     return pairs, missed
 
 
+@pytest.mark.shared_state
 @pytest.mark.parametrize("kind, size_max, seed", [("coverage", 100, 0), ("planted", 10, 0),
                                                   ("planted", 10, 1), ("planted", 10, 2)])
 def test_node_pools_match_the_pools_attempts_leave(kind, size_max, seed):
@@ -1278,6 +1325,7 @@ def test_cached_lemma_cases_are_read_only(cold_lemma_cases):
                 array.flat[0] = 0
 
 
+@pytest.mark.shared_state
 def test_lemma_cases_shared_by_threads_match_reference(cold_lemma_cases):
     # four threads check instances that share the cached cases, from a
     # cleared cache, switching every microsecond: a key missed by two of them

@@ -60,12 +60,12 @@ def test_indispensability_interval_capped_strictly_inside_fit_window():
 
 
 def test_start_item_list_ex1():
-    entries = start_item_list(ex1()).entries
+    entries = start_item_list(ex1())
     assert [(e.item_id, e.reason) for e in entries] == [("b", "indispensable")]
 
 
 def test_start_item_list_ex3_empty():
-    assert start_item_list(ex3()).entries == ()
+    assert start_item_list(ex3()) == ()
 
 
 def test_start_item_list_needs_seed_before_first_greedy():
@@ -73,11 +73,11 @@ def test_start_item_list_needs_seed_before_first_greedy():
     # value, so nothing is indispensable and the list stays empty
     inst = Instance((Item("a", 1), Item("b", 2), Item("c", 3)),
                     ModularOracle({"a": 3.0, "b": 2.0, "c": 1.5}))
-    assert start_item_list(inst).entries == ()
+    assert start_item_list(inst) == ()
 
 
 def test_start_item_list_extended_gains_first_greedy_entry():
-    entries = start_item_list(ex1_extended()).entries
+    entries = start_item_list(ex1_extended())
     assert [(e.item_id, e.reason) for e in entries] == [
         ("b", "indispensable"), ("c", "first_greedy")]
 
@@ -93,7 +93,7 @@ def test_start_list_sizes_strictly_increase_on_corpus_samples():
 def test_start_item_list_keeps_equal_sizes():
     # b leads its own order on a density tie and c is indispensable at the
     # same size: both are kept, in id order
-    entries = start_item_list(density_tie_start_list()).entries
+    entries = start_item_list(density_tie_start_list())
     assert [(e.item_id, e.reason) for e in entries] == [
         ("q", "indispensable"), ("b", "first_greedy"), ("c", "indispensable")]
 
@@ -452,6 +452,7 @@ POLICY_REFRESH_CEILING = 204
 POLICY_ATTEMPT_CEILING = 200
 
 
+@pytest.mark.shared_state
 def test_policy_builds_its_queue_once_per_run_and_never_where_every_decision_is_kept(
         monkeypatch):
     # on coverage, whose start list is empty, and on planted n=100 (seed 0),
